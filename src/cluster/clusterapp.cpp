@@ -255,19 +255,24 @@ void rankMain(int rank, net::InProcessTransport& transport,
         if (rank == 0) {
           std::fill(composite.freshThisFrame.begin(),
                     composite.freshThisFrame.end(), false);
+          // A tile index off the wall is a corrupt packet: skip that tile.
+          auto onWall = [&](const TileImage& t) {
+            return t.tileIndex >= 0 && t.tileIndex < ranks;
+          };
           for (auto& buf : gatheredL) {
             if (buf.size() == 0) continue;  // dead rank's empty slot
             for (TileImage& t : deserializeTilePacket(buf)) {
-              composite.lastGoodLeft[static_cast<std::size_t>(t.tileIndex)] =
-                  std::move(t.image);
-              composite.freshThisFrame[static_cast<std::size_t>(t.tileIndex)] =
-                  true;
+              if (!onWall(t)) continue;
+              const auto tile = static_cast<std::size_t>(t.tileIndex);
+              composite.lastGoodLeft[tile] = std::move(t.image);
+              composite.freshThisFrame[tile] = true;
             }
           }
           if (options.stereo) {
             for (auto& buf : gatheredR) {
               if (buf.size() == 0) continue;
               for (TileImage& t : deserializeTilePacket(buf)) {
+                if (!onWall(t)) continue;
                 composite.lastGoodRight[static_cast<std::size_t>(
                     t.tileIndex)] = std::move(t.image);
               }

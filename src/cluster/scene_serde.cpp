@@ -1,11 +1,29 @@
 #include "cluster/scene_serde.h"
 
+#include <cstring>
+
 namespace svq::cluster {
 
 using net::MessageBuffer;
 using render::Color;
 
 namespace {
+
+// Smallest wire size of each counted element, for bounding counts. A cell
+// is an index, a rect, a color, two counts and a coverage; a tile is an
+// index, its width and height, and a payload length.
+constexpr std::size_t kMinCellBytes = 36;
+constexpr std::size_t kMinTileBytes = 16;
+
+/// Reads an element count and rejects one that the bytes left could not
+/// hold at `minElemBytes` each, so a forged count never sizes a reserve().
+std::uint32_t getCount(MessageBuffer& buf, std::size_t minElemBytes) {
+  const std::uint32_t n = buf.getU32();
+  if (n > buf.remaining() / minElemBytes) {
+    throw net::MessageError("element count exceeds the packet");
+  }
+  return n;
+}
 
 void putColor(MessageBuffer& buf, Color c) {
   buf.putU8(c.r);
@@ -40,7 +58,7 @@ render::CellView getCell(MessageBuffer& buf) {
   cell.trajectoryIndex = buf.getU32();
   cell.rect = buf.getRect();
   cell.background = getColor(buf);
-  const std::uint32_t n = buf.getU32();
+  const std::uint32_t n = getCount(buf, 1);
   cell.segmentHighlights.reserve(n);
   for (std::uint32_t s = 0; s < n; ++s) {
     cell.segmentHighlights.push_back(static_cast<std::int8_t>(buf.getU8()));
@@ -95,7 +113,7 @@ void serializeScene(MessageBuffer& buf, const render::SceneModel& scene) {
 
 render::SceneModel deserializeScene(MessageBuffer& buf) {
   render::SceneModel scene;
-  const std::uint32_t cellCount = buf.getU32();
+  const std::uint32_t cellCount = getCount(buf, kMinCellBytes);
   scene.cells.reserve(cellCount);
   for (std::uint32_t i = 0; i < cellCount; ++i) {
     scene.cells.push_back(getCell(buf));
@@ -210,19 +228,19 @@ void serializeFramebuffer(MessageBuffer& buf, const render::Framebuffer& fb) {
 }
 
 render::Framebuffer deserializeFramebuffer(MessageBuffer& buf) {
-  const int w = buf.getI32();
-  const int h = buf.getI32();
-  const auto bytes = buf.getBytes();
-  render::Framebuffer fb(w, h);
-  if (bytes.size() != fb.pixelCount() * 4) {
+  const std::int32_t w = buf.getI32();
+  const std::int32_t h = buf.getI32();
+  const std::span<const std::uint8_t> bytes = buf.getBytesView();
+  // Validate before allocating: forged dimensions must not size a buffer.
+  if (w < 0 || h < 0) {
+    throw net::MessageError("framebuffer dimensions negative");
+  }
+  if (bytes.size() != static_cast<std::uint64_t>(w) *
+                          static_cast<std::uint64_t>(h) * sizeof(Color)) {
     throw net::MessageError("framebuffer payload size mismatch");
   }
-  for (std::size_t i = 0; i < fb.pixelCount(); ++i) {
-    const int x = static_cast<int>(i) % w;
-    const int y = static_cast<int>(i) / w;
-    fb.at(x, y) = Color{bytes[i * 4], bytes[i * 4 + 1], bytes[i * 4 + 2],
-                        bytes[i * 4 + 3]};
-  }
+  render::Framebuffer fb(w, h);
+  if (!bytes.empty()) std::memcpy(&fb.at(0, 0), bytes.data(), bytes.size());
   return fb;
 }
 
@@ -236,7 +254,7 @@ void serializeTilePacket(MessageBuffer& buf,
 }
 
 std::vector<TileImage> deserializeTilePacket(MessageBuffer& buf) {
-  const std::uint32_t n = buf.getU32();
+  const std::uint32_t n = getCount(buf, kMinTileBytes);
   std::vector<TileImage> tiles;
   tiles.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {

@@ -38,7 +38,7 @@ AABB2 BrushGrid::clearBrush(std::int8_t brushIndex) {
       }
     }
   }
-  return tx1 >= tx0 ? texelRect(tx0, ty0, tx1, ty1) : AABB2{};
+  return texelRect({tx0, ty0, tx1, ty1});
 }
 
 int BrushGrid::toTexel(float cm) const {
@@ -46,25 +46,29 @@ int BrushGrid::toTexel(float cm) const {
       std::floor((cm + arenaRadiusCm_) / texelSizeCm_));
 }
 
-AABB2 BrushGrid::texelRect(int tx0, int ty0, int tx1, int ty1) const {
+AABB2 BrushGrid::texelRect(const TexelBox& box) const {
+  if (box.x0 > box.x1 || box.y0 > box.y1) return AABB2{};
   return AABB2::of(
-      {static_cast<float>(tx0) * texelSizeCm_ - arenaRadiusCm_,
-       static_cast<float>(ty0) * texelSizeCm_ - arenaRadiusCm_},
-      {static_cast<float>(tx1 + 1) * texelSizeCm_ - arenaRadiusCm_,
-       static_cast<float>(ty1 + 1) * texelSizeCm_ - arenaRadiusCm_});
+      {static_cast<float>(box.x0) * texelSizeCm_ - arenaRadiusCm_,
+       static_cast<float>(box.y0) * texelSizeCm_ - arenaRadiusCm_},
+      {static_cast<float>(box.x1 + 1) * texelSizeCm_ - arenaRadiusCm_,
+       static_cast<float>(box.y1 + 1) * texelSizeCm_ - arenaRadiusCm_});
+}
+
+BrushGrid::TexelBox BrushGrid::strokeTexels(const BrushStroke& stroke) const {
+  return {std::max(0, toTexel(stroke.centerCm.x - stroke.radiusCm)),
+          std::max(0, toTexel(stroke.centerCm.y - stroke.radiusCm)),
+          std::min(resolution_ - 1,
+                   toTexel(stroke.centerCm.x + stroke.radiusCm)),
+          std::min(resolution_ - 1,
+                   toTexel(stroke.centerCm.y + stroke.radiusCm))};
 }
 
 AABB2 BrushGrid::paint(const BrushStroke& stroke) {
-  const int x0 = std::max(0, toTexel(stroke.centerCm.x - stroke.radiusCm));
-  const int x1 = std::min(resolution_ - 1,
-                          toTexel(stroke.centerCm.x + stroke.radiusCm));
-  const int y0 = std::max(0, toTexel(stroke.centerCm.y - stroke.radiusCm));
-  const int y1 = std::min(resolution_ - 1,
-                          toTexel(stroke.centerCm.y + stroke.radiusCm));
-  if (x0 > x1 || y0 > y1) return AABB2{};
+  const TexelBox box = strokeTexels(stroke);
   const float r2 = stroke.radiusCm * stroke.radiusCm;
-  for (int ty = y0; ty <= y1; ++ty) {
-    for (int tx = x0; tx <= x1; ++tx) {
+  for (int ty = box.y0; ty <= box.y1; ++ty) {
+    for (int tx = box.x0; tx <= box.x1; ++tx) {
       // Texel centre in arena cm.
       const float cx =
           (static_cast<float>(tx) + 0.5f) * texelSizeCm_ - arenaRadiusCm_;
@@ -79,7 +83,7 @@ AABB2 BrushGrid::paint(const BrushStroke& stroke) {
       }
     }
   }
-  return texelRect(x0, y0, x1, y1);
+  return texelRect(box);
 }
 
 std::int8_t BrushGrid::brushAt(Vec2 arenaCm) const {
@@ -114,23 +118,18 @@ AABB2 BrushCanvas::clear(std::int8_t brushIndex) {
   // silently behaving like a second wildcard.
   if (brushIndex < 0 && brushIndex != kNoBrush) return AABB2{};
 
+  // The texel rects, not the discs' bounding boxes: a painted texel
+  // reaches up to half a texel past its disc.
   AABB2 dirty;
   std::erase_if(strokes_, [&](const BrushStroke& s) {
     if (brushIndex != kNoBrush && s.brushIndex != brushIndex) return false;
-    dirty.expand(AABB2::of(s.centerCm - Vec2{s.radiusCm, s.radiusCm},
-                           s.centerCm + Vec2{s.radiusCm, s.radiusCm}));
+    dirty.expand(grid_.strokeRect(s));
     return true;
   });
-  if (!dirty.valid()) return AABB2{};  // no-op: nothing matched
-
+  // No-op: nothing matched, or only strokes that missed the grid.
+  if (!dirty.valid()) return AABB2{};
   rebuild();
-  // Clip to the grid: paint outside it never rasterized anywhere.
-  const AABB2 gb = grid_.bounds();
-  dirty.min.x = std::max(dirty.min.x, gb.min.x);
-  dirty.min.y = std::max(dirty.min.y, gb.min.y);
-  dirty.max.x = std::min(dirty.max.x, gb.max.x);
-  dirty.max.y = std::min(dirty.max.y, gb.max.y);
-  return dirty.valid() ? dirty : AABB2{};
+  return dirty;
 }
 
 void BrushCanvas::rebuild() {

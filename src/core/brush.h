@@ -94,9 +94,22 @@ class BrushGrid {
   }
 
  private:
+  friend class BrushCanvas;  // clear() reports what paint() touched
+
+  /// Inclusive texel bounds; empty when x0 > x1 or y0 > y1.
+  struct TexelBox {
+    int x0, y0, x1, y1;
+  };
+
   int toTexel(float cm) const;
-  /// Arena-cm rect covering texels [tx0, tx1] x [ty0, ty1].
-  AABB2 texelRect(int tx0, int ty0, int tx1, int ty1) const;
+  /// Texels a stroke's disc may cover, clipped to the grid.
+  TexelBox strokeTexels(const BrushStroke& stroke) const;
+  /// Arena-cm rect covering a texel box (invalid AABB when it is empty).
+  AABB2 texelRect(const TexelBox& box) const;
+  /// The rect paint(stroke) returns, without painting.
+  AABB2 strokeRect(const BrushStroke& stroke) const {
+    return texelRect(strokeTexels(stroke));
+  }
 
   float arenaRadiusCm_;
   int resolution_;
@@ -122,8 +135,9 @@ class BrushCanvas {
   /// Wildcard contract: kNoBrush (and only kNoBrush) means "all brushes".
   /// Any other negative index is out of range — no stroke can carry it —
   /// and the call is an explicit no-op. A valid index with no strokes is
-  /// likewise a no-op. Returns the arena-space dirty rect covering every
-  /// removed stroke (invalid AABB for a no-op).
+  /// likewise a no-op. Returns the arena-space dirty rect: the union of
+  /// the texel rects the removed strokes painted (invalid AABB for a
+  /// no-op).
   AABB2 clear(std::int8_t brushIndex = kNoBrush);
 
   bool empty() const { return strokes_.empty(); }

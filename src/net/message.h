@@ -106,11 +106,13 @@ class MessageBuffer {
     return r;
   }
 
-  std::vector<std::uint8_t> getBytes() {
+  /// Reads a length-prefixed byte run without copying it. The view points
+  /// into this buffer and is valid until the buffer is next written to or
+  /// destroyed.
+  std::span<const std::uint8_t> getBytesView() {
     const std::uint32_t n = getU32();
     require(n);
-    std::vector<std::uint8_t> out(bytes_.begin() + static_cast<long>(cursor_),
-                                  bytes_.begin() + static_cast<long>(cursor_ + n));
+    const std::span<const std::uint8_t> out(bytes_.data() + cursor_, n);
     cursor_ += n;
     return out;
   }

@@ -2,15 +2,125 @@
 
 #include <algorithm>
 #include <fstream>
+#include <mutex>
+#include <utility>
 
 #include "util/logging.h"
 
 namespace svq::render {
 
+namespace {
+
+// Pixel-storage recycler. The wall master decodes 24 tiles and composes
+// two 50 MB eye images every frame. A fresh buffer that size comes from
+// mmap and faults in 4 KiB at a time, which cost more than the pixel
+// copies themselves. Large buffers are therefore parked here when their
+// framebuffer lets go of them and handed to the next framebuffer of
+// exactly the same pixel count. The byte cap bounds what stays mapped;
+// 256 MiB holds one paper-wall frame's tiles and composites.
+constexpr std::size_t kRecycleMinBytes = std::size_t{1} << 20;
+constexpr std::size_t kRecycleCapBytes = std::size_t{256} << 20;
+
+struct PixelRecycler {
+  std::mutex mutex;
+  std::vector<std::vector<Color>> parked;  // oldest first
+  std::size_t bytes = 0;
+};
+
+PixelRecycler& recycler() {
+  // Never destroyed: framebuffers owned by other statics may outlive it.
+  static auto* instance = new PixelRecycler;
+  return *instance;
+}
+
+std::size_t storageBytes(const std::vector<Color>& pixels) {
+  return pixels.capacity() * sizeof(Color);
+}
+
+/// Parked storage for exactly `count` pixels, with unspecified contents,
+/// or an empty vector when none is parked.
+std::vector<Color> takePixels(std::size_t count) {
+  std::vector<Color> out;
+  if (count * sizeof(Color) < kRecycleMinBytes) return out;
+  PixelRecycler& r = recycler();
+  std::lock_guard lock(r.mutex);
+  // Newest first: the most recently released buffer is the warmest.
+  for (auto it = r.parked.end(); it != r.parked.begin();) {
+    --it;
+    if (it->capacity() == count) {
+      out = std::move(*it);
+      r.parked.erase(it);
+      r.bytes -= storageBytes(out);
+      break;
+    }
+  }
+  return out;
+}
+
+/// Parks large storage for reuse, evicting the oldest past the byte cap.
+/// Storage that is not parked stays with `pixels` and is freed with it.
+void releasePixels(std::vector<Color>& pixels) noexcept {
+  const std::size_t bytes = storageBytes(pixels);
+  if (bytes < kRecycleMinBytes || bytes > kRecycleCapBytes) return;
+  try {
+    PixelRecycler& r = recycler();
+    std::lock_guard lock(r.mutex);
+    r.parked.push_back(std::move(pixels));
+    r.bytes += bytes;
+    while (r.bytes > kRecycleCapBytes) {
+      r.bytes -= storageBytes(r.parked.front());
+      r.parked.erase(r.parked.begin());
+    }
+  } catch (...) {
+    // No room to park it (allocation or lock failure): free it instead.
+  }
+}
+
+}  // namespace
+
+// assign() reuses taken storage in place: it only allocates when
+// takePixels() found none.
 Framebuffer::Framebuffer(int width, int height, Color fill)
-    : width_(std::max(0, width)), height_(std::max(0, height)) {
+    : width_(std::max(0, width)),
+      height_(std::max(0, height)),
+      pixels_(takePixels(pixelCount())) {
   pixels_.assign(pixelCount(), fill);
 }
+
+Framebuffer::Framebuffer(const Framebuffer& other)
+    : width_(other.width_),
+      height_(other.height_),
+      pixels_(takePixels(other.pixels_.size())) {
+  pixels_.assign(other.pixels_.begin(), other.pixels_.end());
+}
+
+Framebuffer::Framebuffer(Framebuffer&& other) noexcept
+    : width_(std::exchange(other.width_, 0)),
+      height_(std::exchange(other.height_, 0)),
+      pixels_(std::move(other.pixels_)) {}
+
+Framebuffer& Framebuffer::operator=(const Framebuffer& other) {
+  if (this == &other) return *this;
+  if (pixels_.size() != other.pixels_.size()) {
+    // Other size: swap in storage of the right size, parking this one.
+    return *this = Framebuffer(other);
+  }
+  std::copy(other.pixels_.begin(), other.pixels_.end(), pixels_.begin());
+  width_ = other.width_;
+  height_ = other.height_;
+  return *this;
+}
+
+Framebuffer& Framebuffer::operator=(Framebuffer&& other) noexcept {
+  if (this == &other) return *this;
+  releasePixels(pixels_);
+  pixels_ = std::move(other.pixels_);
+  width_ = std::exchange(other.width_, 0);
+  height_ = std::exchange(other.height_, 0);
+  return *this;
+}
+
+Framebuffer::~Framebuffer() { releasePixels(pixels_); }
 
 void Framebuffer::clear(Color c) {
   std::fill(pixels_.begin(), pixels_.end(), c);

@@ -13,10 +13,22 @@
 namespace svq::render {
 
 /// Dense row-major RGBA8 image with bounds-checked pixel helpers.
+///
+/// Pixel storage of 1 MiB or more is recycled: a framebuffer that lets go
+/// of it (destroyed, moved onto, or copy-assigned another size) parks it
+/// in a process-wide, byte-capped free list, and the next framebuffer
+/// constructed (filled or copied) at exactly that size takes it instead
+/// of faulting in fresh pages. Storage is always fully overwritten before
+/// use, so no stale pixel is visible.
 class Framebuffer {
  public:
   Framebuffer() = default;
   Framebuffer(int width, int height, Color fill = colors::kBlack);
+  Framebuffer(const Framebuffer& other);
+  Framebuffer(Framebuffer&& other) noexcept;
+  Framebuffer& operator=(const Framebuffer& other);
+  Framebuffer& operator=(Framebuffer&& other) noexcept;
+  ~Framebuffer();
 
   int width() const { return width_; }
   int height() const { return height_; }

@@ -6,10 +6,34 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
+#include <cstdlib>
+#include <new>
 
 #include "core/session.h"
 #include "traj/synth.h"
+
+// Largest single operator-new request since the last reset. The decoder
+// tests use it to show that a forged count or size never reaches the
+// allocator.
+namespace {
+std::atomic<std::size_t> gLargestAlloc{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  std::size_t seen = gLargestAlloc.load(std::memory_order_relaxed);
+  while (n > seen && !gLargestAlloc.compare_exchange_weak(
+                         seen, n, std::memory_order_relaxed)) {
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler never pairs a visible new with this free.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace svq::cluster {
 namespace {
@@ -105,6 +129,115 @@ TEST(SceneSerdeTest, CorruptFramebufferPayloadThrows) {
   buf.putBytes(std::vector<std::uint8_t>{1, 2, 3});  // wrong size
   buf.rewind();
   EXPECT_THROW(deserializeFramebuffer(buf), net::MessageError);
+}
+
+/// Decodes `bytes` with `decode` and expects a MessageError before any
+/// allocation larger than the packet itself (or a page, which covers the
+/// exception and the test's own bookkeeping).
+template <typename Decode>
+void expectRejectedWithoutLargeAllocation(std::vector<std::uint8_t> bytes,
+                                          Decode decode) {
+  const std::size_t packetBytes = bytes.size();
+  net::MessageBuffer buf(std::move(bytes));
+  gLargestAlloc.store(0);
+  EXPECT_THROW(decode(buf), net::MessageError);
+  EXPECT_LE(gLargestAlloc.load(), std::max<std::size_t>(packetBytes, 4096));
+}
+
+std::vector<std::uint8_t> forgedCountPacket(std::uint32_t count) {
+  net::MessageBuffer buf;
+  buf.putU32(count);
+  for (int i = 0; i < 64; ++i) buf.putU32(0);
+  return buf.bytes();
+}
+
+TEST(SceneSerdeTest, ForgedCountsThrowWithoutAllocating) {
+  constexpr std::uint32_t kForged = 1u << 31;
+  expectRejectedWithoutLargeAllocation(
+      forgedCountPacket(kForged),
+      [](net::MessageBuffer& b) { deserializeScene(b); });
+  expectRejectedWithoutLargeAllocation(
+      forgedCountPacket(kForged),
+      [](net::MessageBuffer& b) { deserializeTilePacket(b); });
+
+  // One cell whose segment-highlight count is forged.
+  net::MessageBuffer cell;
+  cell.putU32(1);            // cell count
+  cell.putU32(0);            // trajectory index
+  cell.putRect({0, 0, 10, 10});
+  cell.putU32(0xffffffffu);  // background color
+  cell.putU32(kForged);      // segment highlights
+  for (int i = 0; i < 64; ++i) cell.putU32(0);
+  expectRejectedWithoutLargeAllocation(
+      cell.bytes(), [](net::MessageBuffer& b) { deserializeScene(b); });
+}
+
+TEST(SceneSerdeTest, ForgedFramebufferDimensionsThrowWithoutAllocating) {
+  struct Dims {
+    std::int32_t w, h;
+    std::uint32_t payload;
+  };
+  const Dims cases[] = {
+      {-1, 4, 0},               // negative width
+      {4, -1, 0},               // negative height
+      {-2, -2, 16},             // negative, yet w*h*4 matches the payload
+      {1 << 20, 1 << 20, 16},   // 4 TiB of pixels claimed
+      {65536, 16384, 0},        // w*h*4 = 2^32: zero if computed in 32 bits
+      {0x7fffffff, 1, 64},      // oversized width
+  };
+  for (const Dims& d : cases) {
+    net::MessageBuffer buf;
+    buf.putI32(d.w);
+    buf.putI32(d.h);
+    buf.putBytes(std::vector<std::uint8_t>(d.payload, 0));
+    expectRejectedWithoutLargeAllocation(
+        buf.bytes(), [](net::MessageBuffer& b) { deserializeFramebuffer(b); });
+  }
+}
+
+std::vector<TileImage> patternedTiles(int w, int h, int count) {
+  std::vector<TileImage> tiles;
+  for (int t = 0; t < count; ++t) {
+    render::Framebuffer fb(w, h);
+    for (int y = 0; y < h; ++y) {
+      for (int x = 0; x < w; ++x) {
+        fb.at(x, y) = render::Color{static_cast<std::uint8_t>(x * 7 + t),
+                                    static_cast<std::uint8_t>(y * 11),
+                                    static_cast<std::uint8_t>(x ^ y), 255};
+      }
+    }
+    tiles.push_back({t + 3, std::move(fb)});
+  }
+  return tiles;
+}
+
+TEST(SceneSerdeTest, TruncatedTilePacketsThrow) {
+  net::MessageBuffer whole;
+  serializeTilePacket(whole, patternedTiles(5, 3, 2));
+  const std::vector<std::uint8_t>& bytes = whole.bytes();
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    SCOPED_TRACE(cut);
+    expectRejectedWithoutLargeAllocation(
+        std::vector<std::uint8_t>(bytes.begin(),
+                                  bytes.begin() + static_cast<long>(cut)),
+        [](net::MessageBuffer& b) { deserializeTilePacket(b); });
+  }
+}
+
+TEST(SceneSerdeTest, PaperTileSizePacketRoundTripsBitIdentically) {
+  const std::vector<TileImage> tiles = patternedTiles(1366, 768, 2);
+  net::MessageBuffer buf;
+  serializeTilePacket(buf, tiles);
+  buf.rewind();
+  const std::vector<TileImage> restored = deserializeTilePacket(buf);
+  EXPECT_EQ(buf.remaining(), 0u);
+  ASSERT_EQ(restored.size(), tiles.size());
+  for (std::size_t i = 0; i < tiles.size(); ++i) {
+    EXPECT_EQ(restored[i].tileIndex, tiles[i].tileIndex);
+    EXPECT_EQ(restored[i].image.width(), 1366);
+    EXPECT_EQ(restored[i].image.height(), 768);
+    EXPECT_EQ(restored[i].image.contentHash(), tiles[i].image.contentHash());
+  }
 }
 
 class ClusterRenderTest

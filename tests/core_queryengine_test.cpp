@@ -272,6 +272,46 @@ TEST(QueryEngineStandaloneTest, CurrentIsEmptyBeforeFirstPass) {
   EXPECT_EQ(engine.generation(), 0u);
 }
 
+// A painted texel reaches up to half a texel past its stroke's disc. The
+// clear of that stroke must re-evaluate a trajectory that visits only this
+// margin, or the trajectory keeps the removed brush's verdict.
+TEST(QueryEngineStandaloneTest, ClearReevaluatesPaintPastTheDiscEdge) {
+  // 128 texels over 100 cm: 0.78125 cm each. The disc's east edge,
+  // x = 2.0, passes texel column 66 ([1.5625, 2.34375)) beyond its
+  // centre, so the column is painted out to x = 2.34375.
+  traj::TrajectoryDataset ds;
+  ds.add(traj::Trajectory(
+      {}, {{{2.10f, 0.20f}, 0.0f}, {{2.20f, 0.40f}, 1.0f},
+           {{2.30f, 0.60f}, 2.0f}}));  // in the margin only
+  ds.add(traj::Trajectory(
+      {}, {{{-21.0f, -20.0f}, 0.0f}, {{-20.0f, -20.0f}, 1.0f},
+           {{-19.0f, -20.0f}, 2.0f}}));  // under the second stroke
+  const auto indices = allIndices(ds);
+  BrushCanvas canvas(ds.arena().radiusCm, 128);
+  QueryEngine engine;
+  engine.setTrajectories(ds, indices);
+  engine.setBrush(&canvas.grid());
+  auto fromScratch = [&] {
+    return evaluate(makeRefs(ds, indices), canvas.grid(), engine.params());
+  };
+
+  engine.invalidateRegion(
+      canvas.addStroke(BrushStroke{0, {-5.0f, 0.0f}, 7.0f}));
+  const auto painted = engine.evaluate();
+  ASSERT_EQ(painted->segmentHighlights[0],
+            (std::vector<std::int8_t>{0, 0}))
+      << "the margin trajectory must start out highlighted";
+
+  engine.invalidateRegion(canvas.clear(0));
+  engine.evaluate();
+  engine.invalidateRegion(
+      canvas.addStroke(BrushStroke{1, {-20.0f, -20.0f}, 3.0f}));
+  const auto result = engine.evaluate();
+  expectSameResult(*result, fromScratch());
+  EXPECT_EQ(result->segmentHighlights[0],
+            (std::vector<std::int8_t>{kNoBrush, kNoBrush}));
+}
+
 TEST(QueryEngineStandaloneTest, MetricsAccumulateAndReset) {
   auto ds = syntheticDataset(30);
   const auto indices = allIndices(ds);

@@ -63,8 +63,14 @@ TEST(MessageBufferTest, BytesRoundTrip) {
   MessageBuffer buf;
   const std::vector<std::uint8_t> data{1, 2, 3, 255, 0, 128};
   buf.putBytes(data);
+  buf.putU8(7);
   buf.rewind();
-  EXPECT_EQ(buf.getBytes(), data);
+  const std::span<const std::uint8_t> view = buf.getBytesView();
+  EXPECT_EQ(std::vector<std::uint8_t>(view.begin(), view.end()), data);
+  // Zero-copy: the view aliases the buffer's storage, and the cursor moves
+  // past the run.
+  EXPECT_EQ(view.data(), buf.bytes().data() + sizeof(std::uint32_t));
+  EXPECT_EQ(buf.getU8(), 7u);
 }
 
 TEST(MessageBufferTest, VectorRoundTrip) {
@@ -97,7 +103,7 @@ TEST(MessageBufferTest, BytesUnderrunThrows) {
   buf.putU32(50);
   buf.putU8(1);
   buf.rewind();
-  EXPECT_THROW(buf.getBytes(), MessageError);
+  EXPECT_THROW(buf.getBytesView(), MessageError);
 }
 
 TEST(MessageBufferTest, RewindAllowsRereading) {

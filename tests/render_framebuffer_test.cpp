@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <thread>
+#include <utility>
+#include <vector>
 
 namespace svq::render {
 namespace {
@@ -171,6 +176,113 @@ TEST(FramebufferTest, SavePpmWritesFile) {
 TEST(FramebufferTest, SavePpmFailsOnBadPath) {
   Framebuffer fb(2, 2);
   EXPECT_FALSE(fb.savePpm("/nonexistent_dir_xyz/file.ppm"));
+}
+
+// --- pixel-storage recycling ------------------------------------------------
+// Storage of 1 MiB or more is parked when released and handed to the next
+// framebuffer of the same size. These run at the paper wall's tile size.
+
+constexpr int kTileW = 1366;
+constexpr int kTileH = 768;
+
+Framebuffer patterned(int w, int h, std::uint8_t seed) {
+  Framebuffer fb(w, h);
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      fb.at(x, y) = Color{static_cast<std::uint8_t>(x + seed),
+                          static_cast<std::uint8_t>(y * 3 + seed), seed, 255};
+    }
+  }
+  return fb;
+}
+
+TEST(FramebufferRecycleTest, CopyMoveAndSelfAssignmentKeepContents) {
+  for (const auto& [w, h] : {std::pair{kTileW, kTileH}, std::pair{17, 9}}) {
+    const Framebuffer source = patterned(w, h, 7);
+    const std::uint64_t hash = source.contentHash();
+
+    Framebuffer copied(source);
+    EXPECT_EQ(copied.contentHash(), hash);
+    Framebuffer sameSize(w, h, colors::kRed);
+    sameSize = source;
+    EXPECT_EQ(sameSize.contentHash(), hash);
+    Framebuffer otherSize(3, 5, colors::kRed);
+    otherSize = source;
+    EXPECT_EQ(otherSize.width(), w);
+    EXPECT_EQ(otherSize.height(), h);
+    EXPECT_EQ(otherSize.contentHash(), hash);
+
+    Framebuffer moved(std::move(copied));
+    EXPECT_EQ(moved.contentHash(), hash);
+    EXPECT_TRUE(copied.empty());  // a moved-from framebuffer is empty
+    EXPECT_EQ(copied.pixelCount(), copied.pixels().size());
+    Framebuffer target(w, h, colors::kBlue);
+    target = std::move(moved);
+    EXPECT_EQ(target.contentHash(), hash);
+    EXPECT_TRUE(moved.empty());
+
+    Framebuffer& alias = target;
+    target = alias;
+    EXPECT_EQ(target.contentHash(), hash);
+    target = std::move(alias);
+    EXPECT_EQ(target.width(), w);
+    EXPECT_EQ(target.height(), h);
+    EXPECT_EQ(target.contentHash(), hash);
+  }
+}
+
+TEST(FramebufferRecycleTest, RecycledStorageReadsAsItsOwnFill) {
+  const Color* released = nullptr;
+  {
+    const Framebuffer old = patterned(kTileW, kTileH, 99);
+    released = old.pixels().data();
+  }
+  const Framebuffer filled(kTileW, kTileH, colors::kBlue);
+  EXPECT_EQ(filled.pixels().data(), released) << "storage was not reused";
+  EXPECT_EQ(filled.countPixels(colors::kBlue), filled.pixelCount());
+
+  { const Framebuffer old = patterned(kTileW, kTileH, 42); }
+  const Framebuffer copy(filled);
+  EXPECT_EQ(copy.countPixels(colors::kBlue), copy.pixelCount());
+}
+
+TEST(FramebufferRecycleTest, ConcurrentChurnKeepsContents) {
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 1000;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &failures] {
+      for (int round = 0; round < kRounds; ++round) {
+        const Color fill{static_cast<std::uint8_t>(t * 60),
+                         static_cast<std::uint8_t>(round),
+                         static_cast<std::uint8_t>(round >> 8), 255};
+        const Color mark{255, static_cast<std::uint8_t>(t),
+                         static_cast<std::uint8_t>(round), 254};
+        const int mx = 1 + round % (kTileW - 2);
+        const int my = 1 + (round * 7) % (kTileH - 2);
+        Framebuffer made(kTileW, kTileH, fill);
+        made.at(mx, my) = mark;
+        Framebuffer copy(made);
+        Framebuffer moved(std::move(made));
+        Framebuffer assigned;
+        assigned = std::move(copy);
+        // Corners, the mark, and one whole row that moves every round.
+        const int row = (round * 13) % kTileH;
+        for (const Framebuffer* fb : {&moved, &assigned}) {
+          const Color* r = &fb->at(0, row);
+          const auto rowFill = std::count(r, r + kTileW, fill);
+          if (fb->at(0, 0) != fill || fb->at(kTileW - 1, kTileH - 1) != fill ||
+              fb->at(mx, my) != mark ||
+              rowFill != kTileW - (row == my ? 1 : 0)) {
+            failures.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
 }
 
 }  // namespace
