@@ -16,15 +16,20 @@
 //   pipeline_dab_threads8 same, 8-thread pool — must be bit-identical
 //   cache_restore         invalidate() + recomposite from the cell cache
 //   delta_broadcast       cluster session bytes, delta on vs off
+//   render_span_kernel    blend span, active-ISA kernel vs scalar
+//   render_thick_line_kernel  every segment of the cold frame's cells,
+//                         active-ISA thick-line kernel vs scalar
 //
 // Acceptance checks (non-zero exit on failure):
 //   - determinism: parallel output bit-identical to serial at 1/4/8
 //     threads, for the cold frame and every dab frame,
 //   - cache correctness: the cache_restore recomposite is bit-identical
 //     to a cold render of the same scene,
+//   - kernels: the active-ISA blend span and thick-line kernels draw
+//     exactly what their scalar loops draw,
 //   - (full run only) dab-edit median frame time >= 8x faster than the
-//     full serial redraw, and delta broadcast bytes <= 10% of full-scene
-//     bytes per frame.
+//     full serial redraw, delta broadcast bytes <= 10% of full-scene
+//     bytes per frame, and each SIMD kernel >= 2x faster than scalar.
 //
 // Writes BENCH_render.json (see bench_json.h; consumed by
 // scripts/perf_smoke.py). --smoke shrinks the wall/layout/frame count for
@@ -42,6 +47,7 @@
 #include "core/session.h"
 #include "render/kernels.h"
 #include "render/pipeline.h"
+#include "render/spacetime.h"
 #include "util/metrics.h"
 #include "util/rng.h"
 #include "util/simd.h"
@@ -309,6 +315,91 @@ int run(const Options& opt) {
     if (!opt.smoke && isa != util::Isa::kScalar && ratio < 2.0) {
       std::fprintf(stderr,
                    "FAIL: %s blend ratio %.2fx below the 2x target\n",
+                   util::toString(isa), ratio);
+      ok = false;
+    }
+  }
+
+  // --- thick-line kernel: SIMD vs scalar on real cells' segments -------------
+  {
+    // Every trajectory segment of the cold frame, tessellated and boxed as
+    // renderCell and drawThickLine do, clipped to its cell.
+    struct Segment {
+      RectI box;
+      Vec2 a, b;
+      render::Color c;
+    };
+    const util::Isa isa = util::activeIsa();
+    const render::SceneModel& scene = frames[0];
+    const render::OrthoStereoCamera camera(scene.stereo);
+    const float halfWidth = std::max(0.5f, scene.style.halfWidthPx);
+    const float feather = 1.0f;
+    const float reach = halfWidth + feather;
+    render::Framebuffer scalarFb(wall.totalPxW(), wall.totalPxH());
+    render::Framebuffer simdFb(wall.totalPxW(), wall.totalPxH());
+    std::vector<Segment> segments;
+    std::size_t boxPixels = 0;
+    for (const render::CellView& cell : scene.cells) {
+      if (cell.trajectoryIndex >= ds.size()) continue;
+      const render::StyledPolyline line = render::tessellate(
+          ds[cell.trajectoryIndex],
+          render::CellTransform{cell.rect, scene.arenaRadiusCm, 3.0f}, camera,
+          eye, cell.segmentHighlights, scene.timeWindow, scene.style);
+      const RectI clip = cell.rect.clipped(scalarFb.rect());
+      for (std::size_t i = 1; i < line.points.size(); ++i) {
+        if (line.colors[i - 1].a == 0 || line.colors[i].a == 0) continue;
+        const Vec2 a = line.points[i - 1];
+        const Vec2 b = line.points[i];
+        const int x0 = static_cast<int>(std::floor(std::min(a.x, b.x) - reach));
+        const int x1 = static_cast<int>(std::ceil(std::max(a.x, b.x) + reach));
+        const int y0 = static_cast<int>(std::floor(std::min(a.y, b.y) - reach));
+        const int y1 = static_cast<int>(std::ceil(std::max(a.y, b.y) + reach));
+        const RectI box = RectI{x0, y0, x1 - x0 + 1, y1 - y0 + 1}.clipped(clip);
+        if (box.empty()) continue;
+        segments.push_back(
+            {box, a, b,
+             render::Color::lerp(line.colors[i - 1], line.colors[i], 0.5f)});
+        boxPixels += static_cast<std::size_t>(box.areaPx());
+      }
+    }
+    const auto drawAll = [&](util::Isa variant, render::Framebuffer& fb,
+                             std::vector<double>& ms) {
+      fb.clear(render::colors::kDarkBg);
+      Stopwatch w;
+      for (const Segment& seg : segments) {
+        render::thickLineBoxVariant(
+            variant, &fb.at(seg.box.x, seg.box.y),
+            static_cast<std::size_t>(fb.width()), seg.box, seg.a, seg.b,
+            halfWidth, feather, seg.c);
+      }
+      ms.push_back(w.elapsedMillis());
+    };
+    const int kReps = opt.smoke ? 15 : 40;
+    std::vector<double> scalarMs, simdMs;
+    for (int r = 0; r < kReps; ++r) {
+      drawAll(util::Isa::kScalar, scalarFb, scalarMs);
+    }
+    for (int r = 0; r < kReps; ++r) drawAll(isa, simdFb, simdMs);
+    if (scalarFb.pixels() != simdFb.pixels()) {
+      std::fprintf(stderr, "FAIL: %s thick-line kernel differs from scalar\n",
+                   util::toString(isa));
+      ok = false;
+    }
+    const double ratio =
+        bench::median(simdMs) > 0.0
+            ? bench::median(scalarMs) / bench::median(simdMs)
+            : 0.0;
+    auto& s = report.add("render_thick_line_kernel", simdMs);
+    s.counters["scalar_median_ms"] = bench::median(scalarMs);
+    s.counters["simd_speedup"] = ratio;
+    s.counters["segments"] = static_cast<double>(segments.size());
+    s.counters["box_pixels"] = static_cast<double>(boxPixels);
+    std::printf("thick-line kernel:     %s %.2fx vs scalar (%zu segments, "
+                "%zu box px)\n",
+                util::toString(isa), ratio, segments.size(), boxPixels);
+    if (!opt.smoke && isa != util::Isa::kScalar && ratio < 2.0) {
+      std::fprintf(stderr,
+                   "FAIL: %s thick-line ratio %.2fx below the 2x target\n",
                    util::toString(isa), ratio);
       ok = false;
     }

@@ -7,6 +7,7 @@
 // format independent of padding and lets tests fuzz round-trips.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -146,6 +147,12 @@ class MessageBuffer {
   }
 
   void append(const std::uint8_t* data, std::size_t n) {
+    // Growing ahead of insert (geometrically, as insert would) keeps
+    // insert off its reallocating path, which GCC 12 misreads as a write
+    // into zero bytes when the vector starts empty (-Wstringop-overflow).
+    if (bytes_.capacity() - bytes_.size() < n) {
+      bytes_.reserve(std::max(2 * bytes_.capacity(), bytes_.size() + n));
+    }
     bytes_.insert(bytes_.end(), data, data + n);
   }
 

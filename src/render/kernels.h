@@ -1,26 +1,34 @@
-// kernels.h — vectorized span primitives behind render::Canvas.
+// kernels.h — vectorized pixel primitives behind render::Canvas.
 //
-// The rasterizer's hot loops reduce to three dense row operations:
+// The rasterizer's hot loops reduce to three dense row operations and one
+// box walk:
 //
 //   * blendSpan — source-over blend of one translucent color onto a pixel
 //     run (the alpha path of Canvas::fillSpan);
 //   * fillRow — store one opaque color across a run (the fast path of
 //     Canvas::fillSpan);
-//   * copyRow — copy a run between framebuffers (Canvas::blitRows).
+//   * copyRow — copy a run between framebuffers (Canvas::blitRows);
+//   * thickLineBox — the per-pixel capsule coverage and blend of
+//     drawThickLine over its clipped box, which draws every trajectory
+//     segment.
 //
-// Each ships scalar/SSE2/AVX2 variants selected once per process via
-// util::activeIsa() (SVQ_FORCE_SCALAR pins scalar). Variants are
-// BIT-IDENTICAL to the scalar path: blendSpan replicates Color::over's
-// exact expression tree — d*(1-sa) + s*sa + 0.5f with truncating u8
-// conversion — using discrete mul/add (never FMA) so the float results
-// match lane for lane. Framebuffer content hashes, the pipeline's cache
-// keys and the delta-broadcast determinism gates all depend on this;
+// The row operations ship scalar/SSE2/AVX2 variants; thickLineBox ships
+// scalar/AVX2 only, because SSE2 has no masked load/store or blendv, so
+// under kSse2 it runs scalar. The variant is selected once per process
+// via util::activeIsa() (SVQ_FORCE_SCALAR pins scalar). Variants are
+// BIT-IDENTICAL to the scalar path: they evaluate the scalar expression
+// tree — Color::over's d*(1-sa) + s*sa + 0.5f with truncating u8
+// conversion, and thickLineBox's IEEE divides and sqrt — using discrete
+// mul/add (never FMA) so the float results match lane for lane.
+// Framebuffer content hashes, the pipeline's cache keys and the
+// delta-broadcast determinism gates all depend on this;
 // tests/simd_kernel_test.cpp fuzzes the equivalence.
 #pragma once
 
 #include <cstddef>
 
 #include "render/color.h"
+#include "util/geometry.h"
 #include "util/simd.h"
 
 namespace svq::render {
@@ -49,5 +57,24 @@ void copyRowSse2(Color* dst, const Color* src, std::size_t n);
 void copyRowAvx2(Color* dst, const Color* src, std::size_t n);
 void copyRowVariant(util::Isa isa, Color* dst, const Color* src,
                     std::size_t n);
+
+/// Blends `c` over every pixel (x, y) of `box` (global pixels) with the
+/// coverage, at the pixel centre, of the capsule of half-width `halfWidth`
+/// around segment a->b, fading linearly over the last `feather` pixels:
+/// drawThickLine's pixel walk. `origin` is the framebuffer pixel of
+/// (box.x, box.y) and rows are `stride` pixels apart; the caller clips the
+/// box to the framebuffer. Pixels outside the capsule, and those whose
+/// coverage rounds to alpha 0, keep every byte.
+void thickLineBox(Color* origin, std::size_t stride, const RectI& box, Vec2 a,
+                  Vec2 b, float halfWidth, float feather, Color c);
+void thickLineBoxScalar(Color* origin, std::size_t stride, const RectI& box,
+                        Vec2 a, Vec2 b, float halfWidth, float feather,
+                        Color c);
+void thickLineBoxAvx2(Color* origin, std::size_t stride, const RectI& box,
+                      Vec2 a, Vec2 b, float halfWidth, float feather,
+                      Color c);
+void thickLineBoxVariant(util::Isa isa, Color* origin, std::size_t stride,
+                         const RectI& box, Vec2 a, Vec2 b, float halfWidth,
+                         float feather, Color c);
 
 }  // namespace svq::render

@@ -138,28 +138,10 @@ void drawThickLine(Canvas canvas, Vec2 a, Vec2 b, float halfWidth,
   const RectI box =
       RectI{x0, y0, x1 - x0 + 1, y1 - y0 + 1}.clipped(canvas.clipRect());
   if (box.empty()) return;
-
-  const Vec2 ab = b - a;
-  const float len2 = ab.norm2();
-  for (int y = box.y; y < box.y + box.h; ++y) {
-    Color* row = &canvas.fb->at(box.x - canvas.region.x, y - canvas.region.y);
-    for (int x = box.x; x < box.x + box.w; ++x, ++row) {
-      const Vec2 p{static_cast<float>(x) + 0.5f, static_cast<float>(y) + 0.5f};
-      float dist;
-      if (len2 <= 0.0f) {
-        dist = (p - a).norm();
-      } else {
-        const float u = svq::clamp((p - a).dot(ab) / len2, 0.0f, 1.0f);
-        dist = (p - (a + ab * u)).norm();
-      }
-      if (dist >= halfWidth + feather) continue;
-      float coverage = 1.0f;
-      if (dist > halfWidth) coverage = 1.0f - (dist - halfWidth) / feather;
-      const auto alpha = static_cast<std::uint8_t>(
-          svq::clamp(coverage * static_cast<float>(c.a), 0.0f, 255.0f));
-      *row = Color::over(*row, c.withAlpha(alpha));
-    }
-  }
+  Color* origin =
+      &canvas.fb->at(box.x - canvas.region.x, box.y - canvas.region.y);
+  thickLineBox(origin, static_cast<std::size_t>(canvas.fb->width()), box, a,
+               b, halfWidth, feather, c);
 }
 
 void drawThickPolyline(Canvas canvas, std::span<const Vec2> points,

@@ -166,24 +166,24 @@ class Recording {
   }
   void event(std::uint32_t tenant, double timeS, ui::Event e,
              std::string note = {}) {
-    steps_.push_back({StepKind::kEvent, tenant, timeS, std::move(e),
-                      std::move(note), 0});
+    steps_.emplace_back(StepKind::kEvent, tenant, timeS, std::move(e),
+                        std::move(note));
   }
   /// An event the service *refused* with StatusCode `refusalCode`
   /// (kBackpressure / kDeadlineExceeded / kOverloaded): replay re-sees
   /// the refusal instead of applying the event.
   void refused(std::uint32_t tenant, double timeS, ui::Event e,
                std::uint8_t refusalCode, std::string note = {}) {
-    steps_.push_back({StepKind::kEvent, tenant, timeS, std::move(e),
-                      std::move(note), refusalCode});
+    steps_.emplace_back(StepKind::kEvent, tenant, timeS, std::move(e),
+                        std::move(note), refusalCode);
   }
   /// An event enqueued via SessionService::submit() instead of applied
   /// synchronously — the queue-pressure primitive overload scenarios are
   /// authored from.
   void submit(std::uint32_t tenant, double timeS, ui::Event e,
               std::string note = {}) {
-    steps_.push_back({StepKind::kSubmit, tenant, timeS, std::move(e),
-                      std::move(note), 0});
+    steps_.emplace_back(StepKind::kSubmit, tenant, timeS, std::move(e),
+                        std::move(note));
   }
   /// A refinement step: replay calls SessionService::refine(tenant,
   /// maxShards). The budget must be positive.

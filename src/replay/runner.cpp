@@ -180,10 +180,10 @@ RunReport Runner::run() {
         static_cast<unsigned>(options_.renderThreads));
   }
   if (options_.injectWireFaults) {
-    net::FaultInjector::Plan plan;
-    plan.dropProbability = spec.wireDropProbability;
-    plan.seed = spec.wireFaultSeed;
-    w.wireFaults = std::make_unique<net::FaultInjector>(plan);
+    net::FaultInjector::Plan faultPlan;
+    faultPlan.dropProbability = spec.wireDropProbability;
+    faultPlan.seed = spec.wireFaultSeed;
+    w.wireFaults = std::make_unique<net::FaultInjector>(faultPlan);
   }
   w.tenants.resize(recording_.tenantCount());
 
@@ -384,9 +384,15 @@ void Runner::renderStep(World& w, std::uint32_t tenantIndex, StepTrace& trace,
   // session's next buildScene, and the runner steps serially.
   const traj::TrajectoryDataset* renderDataset = &w.dataset;
   if (w.explorer != nullptr) {
-    w.service->withSession(tenant.id, [&](core::Session& s) {
-      renderDataset = &s.sceneDataset();
-    });
+    const core::Status found = w.service->withSession(
+        tenant.id,
+        [&](core::Session& s) { renderDataset = &s.sceneDataset(); });
+    // A tenant the service no longer knows fails the step instead of
+    // rendering the world dataset in its place.
+    if (!found.isOk()) {
+      trace.applied = false;
+      return;
+    }
   }
   tenant.pipeline->render(*toRender, *renderDataset,
                           render::Canvas::whole(tenant.fb), options_.eye);

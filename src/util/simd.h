@@ -1,9 +1,11 @@
 // simd.h — runtime SIMD instruction-set dispatch.
 //
-// The two hot loops (brush-overlap query kernel, CPU rasterizer span
-// fill/blit) ship three implementations each: scalar, SSE2, AVX2. This
-// module picks one instruction set ONCE at startup so the kernels branch
-// on a cached enum, never on cpuid, inside the loop.
+// The hot loops — the brush-overlap query kernel and the CPU
+// rasterizer's kernels (span fill/blend/blit, thick-line pixel walk) —
+// ship scalar, SSE2 and AVX2 implementations; the thick-line walk has no
+// SSE2 one and runs scalar there (render/kernels.h). This module picks
+// one instruction set ONCE at startup so the kernels branch on a cached
+// enum, never on cpuid, inside the loop.
 //
 // Contract: every SIMD variant is bit-identical to its scalar fallback.
 // The determinism gates (1/4/8-thread, delta-on/off, TSan, content-hash

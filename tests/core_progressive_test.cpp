@@ -193,7 +193,8 @@ TEST_F(ProgressiveTest, FromEnvReadsAnytimeBudgetMs) {
 TEST_F(ProgressiveTest, SessionServiceDrainsProgressiveSessionsToExact) {
   const auto context = SharedContext::create(
       dataset_, smallWall(),
-      SharedContext::Options{.shardStore = store_, .shardExplorer = explorer_});
+      SharedContext::Options{
+          .shardStore = store_, .som = nullptr, .shardExplorer = explorer_});
   SessionService service(context);
   const auto admitted = service.admit();
   ASSERT_TRUE(admitted.status.isOk());
@@ -206,13 +207,14 @@ TEST_F(ProgressiveTest, SessionServiceDrainsProgressiveSessionsToExact) {
 
   bool progressive = false;
   bool convergedBefore = true;
-  service.withSession(admitted.id, [&](Session& s) {
+  const Status firstPixel = service.withSession(admitted.id, [&](Session& s) {
     progressive = s.progressiveMode();
     s.buildScene();  // first pixel: estimates, not yet exact
     convergedBefore = s.progressiveConverged();
     // The overview renders the cluster-average dataset, not the raw one.
     EXPECT_NE(&s.sceneDataset(), &context->dataset());
   });
+  ASSERT_TRUE(firstPixel.isOk());
   ASSERT_TRUE(progressive);
   EXPECT_FALSE(convergedBefore);
 
@@ -222,18 +224,20 @@ TEST_F(ProgressiveTest, SessionServiceDrainsProgressiveSessionsToExact) {
     std::size_t refined = 0;
     ASSERT_TRUE(service.refine(admitted.id, 2, &refined).isOk());
     bool converged = false;
-    service.withSession(admitted.id,
-                        [&](Session& s) { converged = s.progressiveConverged(); });
+    const Status read = service.withSession(
+        admitted.id, [&](Session& s) { converged = s.progressiveConverged(); });
+    ASSERT_TRUE(read.isOk());
     if (converged) break;
     ASSERT_GT(refined, 0u) << "refine made no progress";
     ASSERT_LT(++guard, 10000u);
   }
 
-  service.withSession(admitted.id, [&](Session& s) {
+  const Status exact = service.withSession(admitted.id, [&](Session& s) {
     s.buildScene();
     ASSERT_NE(s.progressiveQuery(), nullptr);
     EXPECT_DOUBLE_EQ(s.progressiveQuery()->coverage(), 1.0);
   });
+  EXPECT_TRUE(exact.isOk());
 }
 
 }  // namespace

@@ -38,17 +38,20 @@ wall::WallSpec smallWall() {
 /// A distinct per-tenant event stream (brush spot and window vary by id).
 std::vector<ui::Event> tenantScript(std::size_t id) {
   const float x = -30.0f + 8.0f * static_cast<float>(id % 8);
+  // emplace_back builds each event in place: a temporary ui::Event copied
+  // in makes GCC 12 report the GroupDefineEvent alternative's fields as
+  // maybe-uninitialized.
   std::vector<ui::Event> ev;
-  ev.push_back(ui::LayoutSwitchEvent{1});
-  ev.push_back(ui::BrushStrokeEvent{0, {x, 0.0f}, 9.0f});
+  ev.emplace_back(ui::LayoutSwitchEvent{1});
+  ev.emplace_back(ui::BrushStrokeEvent{0, {x, 0.0f}, 9.0f});
   ui::GroupDefineEvent g;
   g.groupId = static_cast<std::uint8_t>(id);
   g.cellRect = {static_cast<int>(id % 6) * 4, 0, 4, 3};
-  ev.push_back(g);
-  ev.push_back(ui::PageEvent{+1});
-  ev.push_back(ui::BrushStrokeEvent{1, {x, 10.0f}, 6.0f});
-  ev.push_back(ui::TimeWindowEvent{0.0f, 40.0f + static_cast<float>(id)});
-  ev.push_back(ui::DepthOffsetEvent{-4.0f});
+  ev.emplace_back(g);
+  ev.emplace_back(ui::PageEvent{+1});
+  ev.emplace_back(ui::BrushStrokeEvent{1, {x, 10.0f}, 6.0f});
+  ev.emplace_back(ui::TimeWindowEvent{0.0f, 40.0f + static_cast<float>(id)});
+  ev.emplace_back(ui::DepthOffsetEvent{-4.0f});
   return ev;
 }
 

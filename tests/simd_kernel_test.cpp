@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -204,6 +206,88 @@ TEST(FillCopyRowKernelFuzzTest, AllVariantsBitIdenticalToScalar) {
                             base.size() * sizeof(Color)),
                 0)
           << "copy iter " << iter << " isa " << util::toString(isa);
+    }
+  }
+}
+
+// ---- thick-line kernel ---------------------------------------------------
+
+/// Endpoint b of a fuzzed segment from a: zero-length, horizontal,
+/// vertical, near-horizontal (|dy| < 1e-3) or any direction.
+Vec2 fuzzSegmentEnd(Rng& rng, Vec2 a) {
+  const float dx = rng.uniform(-40.0f, 40.0f);
+  switch (rng.below(5)) {
+    case 0: return a;
+    case 1: return {a.x + dx, a.y};
+    case 2: return {a.x, a.y + rng.uniform(-20.0f, 20.0f)};
+    case 3: return {a.x + dx, a.y + rng.uniform(-1e-3f, 1e-3f)};
+    default: return {a.x + dx, a.y + rng.uniform(-20.0f, 20.0f)};
+  }
+}
+
+TEST(ThickLineKernelFuzzTest, AllVariantsBitIdenticalToScalar) {
+  Rng rng(0x7c1c4ULL);
+  const auto isas = testableIsas();
+  for (int iter = 0; iter < kFuzzIterations; ++iter) {
+    // The framebuffer covers a canvas region anywhere on the 8192x1536
+    // wall, so pixel centres carry large-coordinate float rounding.
+    const int fbW = rng.rangeInt(1, 48);
+    const int fbH = rng.rangeInt(1, 24);
+    const RectI region{rng.rangeInt(0, 8192 - fbW), rng.rangeInt(0, 1536 - fbH),
+                       fbW, fbH};
+    const Vec2 a{static_cast<float>(region.x) + rng.uniform(-8.0f, fbW + 8.0f),
+                 static_cast<float>(region.y) + rng.uniform(-8.0f, fbH + 8.0f)};
+    const Vec2 b = fuzzSegmentEnd(rng, a);
+    // Mostly drawThickLine's clamped range, sometimes below the clamps.
+    const float halfWidth = rng.chance(0.2) ? rng.uniform(0.05f, 0.5f)
+                                            : rng.uniform(0.5f, 4.0f);
+    const float feather = rng.chance(0.2) ? rng.uniform(0.01f, 0.25f)
+                                          : rng.uniform(0.25f, 2.0f);
+    Color c = randomColor(rng);
+    if (rng.chance(0.2)) c.a = rng.chance(0.5) ? 0 : 255;
+
+    // The box: either drawThickLine's, or 1-40 px wide at random, then
+    // clipped to a sub-canvas of the region that may be empty.
+    RectI box;
+    if (rng.chance(0.5)) {
+      const float reach = halfWidth + feather;
+      const int x0 = static_cast<int>(std::floor(std::min(a.x, b.x) - reach));
+      const int x1 = static_cast<int>(std::ceil(std::max(a.x, b.x) + reach));
+      const int y0 = static_cast<int>(std::floor(std::min(a.y, b.y) - reach));
+      const int y1 = static_cast<int>(std::ceil(std::max(a.y, b.y) + reach));
+      box = {x0, y0, x1 - x0 + 1, y1 - y0 + 1};
+    } else {
+      box = {region.x + rng.rangeInt(-4, fbW), region.y + rng.rangeInt(-4, fbH),
+             rng.rangeInt(1, 40), rng.rangeInt(1, 12)};
+    }
+    const RectI clip{region.x + rng.rangeInt(-4, fbW),
+                     region.y + rng.rangeInt(-4, fbH), rng.rangeInt(0, fbW),
+                     rng.rangeInt(0, fbH)};
+    box = box.clipped(clip).clipped(region);
+
+    // Destination alphas below 255 must survive untouched lanes.
+    std::vector<Color> base(static_cast<std::size_t>(fbW * fbH));
+    for (auto& px : base) px = randomColor(rng);
+    const auto originOf = [&](std::vector<Color>& fb) {
+      if (box.empty()) return fb.data();
+      return fb.data() + static_cast<std::size_t>(box.y - region.y) * fbW +
+             (box.x - region.x);
+    };
+
+    std::vector<Color> scalar = base;
+    render::thickLineBoxScalar(originOf(scalar), static_cast<std::size_t>(fbW),
+                               box, a, b, halfWidth, feather, c);
+    for (Isa isa : isas) {
+      std::vector<Color> out = base;
+      render::thickLineBoxVariant(isa, originOf(out),
+                                  static_cast<std::size_t>(fbW), box, a, b,
+                                  halfWidth, feather, c);
+      ASSERT_EQ(
+          std::memcmp(out.data(), scalar.data(), out.size() * sizeof(Color)),
+          0)
+          << "iter " << iter << " isa " << util::toString(isa) << " box "
+          << box << " a " << a << " b " << b << " halfWidth " << halfWidth
+          << " feather " << feather << " alpha " << static_cast<int>(c.a);
     }
   }
 }

@@ -123,8 +123,7 @@ TEST(ScriptFuzzTest, RandomScriptsRoundTripBitIdentically) {
 TEST(ScriptFuzzTest, RandomTruncationsNeverCrash) {
   Rng rng(kFuzzSeed ^ 0x1);
   for (int iter = 0; iter < kIterations; ++iter) {
-    const std::vector<std::uint8_t>& bytes =
-        randomScript(rng).serialize().bytes();
+    std::vector<std::uint8_t> bytes = randomScript(rng).serialize().bytes();
     if (bytes.size() <= 1) continue;
     const std::size_t cut = rng.below(bytes.size());
     std::vector<std::uint8_t> prefix(bytes.begin(),
@@ -190,8 +189,7 @@ TEST(RecordingFuzzTest, RandomRecordingsRoundTripBitIdentically) {
 TEST(RecordingFuzzTest, RandomTruncationsNeverCrash) {
   Rng rng(kFuzzSeed ^ 0x11);
   for (int iter = 0; iter < kIterations; ++iter) {
-    const std::vector<std::uint8_t>& bytes =
-        randomRecording(rng).serialize().bytes();
+    std::vector<std::uint8_t> bytes = randomRecording(rng).serialize().bytes();
     const std::size_t cut = rng.below(bytes.size());
     std::vector<std::uint8_t> prefix(bytes.begin(),
                                      bytes.begin() + static_cast<long>(cut));
