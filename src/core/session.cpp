@@ -226,8 +226,8 @@ bool Session::buildScene(render::SceneModel& out,
     auto query = queryEngine_->evaluate(cancel);
     if (!query) {
       // Abandoned mid-evaluation. The engine preserved its dirty-set and
-      // published nothing; leave lastQuery_/frameIndex_/damage state
-      // untouched so the session is observably "as before the call".
+      // published nothing; leave lastQuery_/frameIndex_ untouched so the
+      // session is observably "as before the call".
       // (The binding refreshes above are idempotent and stay valid.)
       return false;
     }
@@ -256,26 +256,8 @@ bool Session::buildScene(render::SceneModel& out,
     scene.cells.push_back(std::move(cell));
   }
 
-  commitScene(std::move(scene), out);
-  return true;
-}
-
-void Session::commitScene(render::SceneModel&& scene,
-                          render::SceneModel& out) {
-  // Damage tracking: diff this frame's per-cell content hashes against the
-  // previous frame's so render consumers know which cells to repaint.
-  std::vector<std::uint64_t> hashes = render::sceneCellHashes(scene);
-  lastDamagedCells_.clear();
-  if (hashes.size() != lastCellHashes_.size()) {
-    lastSceneFullyDamaged_ = true;
-  } else {
-    lastSceneFullyDamaged_ = false;
-    for (std::size_t i = 0; i < hashes.size(); ++i) {
-      if (hashes[i] != lastCellHashes_[i]) lastDamagedCells_.push_back(i);
-    }
-  }
-  lastCellHashes_ = std::move(hashes);
   out = std::move(scene);
+  return true;
 }
 
 void Session::ensureProgressiveFresh() {
@@ -300,9 +282,8 @@ bool Session::buildProgressiveScene(render::SceneModel& out) {
       progressive_->query.prototypeResult());
   ++frameIndex_;
 
-  render::SceneModel scene = std::move(overview.scene);
-  scene.queryGeneration = lastQuery_->generation;
-  commitScene(std::move(scene), out);
+  out = std::move(overview.scene);
+  out.queryGeneration = lastQuery_->generation;
   return true;
 }
 

@@ -129,10 +129,9 @@ class Session {
 
   /// Cancellable variant: the query evaluation inside polls `cancel` at
   /// chunk granularity. Returns false when the build was abandoned — then
-  /// `out` is untouched and the session is never torn: lastQueryResult(),
-  /// frameIndex() and the damage-diff state are exactly what they were,
-  /// and the engine keeps its dirty-set so the next build resumes the
-  /// abandoned work.
+  /// `out` is untouched and the session is never torn: lastQueryResult()
+  /// and frameIndex() are exactly what they were, and the engine keeps its
+  /// dirty-set so the next build resumes the abandoned work.
   bool buildScene(render::SceneModel& out, const util::Cancellation& cancel);
 
   /// The query result backing the last buildScene() call. In progressive
@@ -193,20 +192,6 @@ class Session {
   /// Frame counter (increments per buildScene).
   std::uint64_t frameIndex() const { return frameIndex_; }
 
-  // --- render damage -------------------------------------------------------
-  /// Cell indices (into the last built scene's cells) whose rendered
-  /// content changed since the previous buildScene(), computed by content-
-  /// hash diff (render::cellContentHash). Meaningful only when
-  /// lastSceneFullyDamaged() is false.
-  const std::vector<std::size_t>& lastDamagedCells() const {
-    return lastDamagedCells_;
-  }
-
-  /// True when the whole scene must be considered damaged: the first
-  /// frame, a layout switch (cell count/rect change) or a scene-wide
-  /// change that dirtied every cell.
-  bool lastSceneFullyDamaged() const { return lastSceneFullyDamaged_; }
-
  private:
   /// Detach-on-write accessors: deep-copy when the buffer is shared with
   /// a fork, no-op when exclusively owned.
@@ -228,8 +213,6 @@ class Session {
   /// Re-runs the pre-pass when the anytime state is stale.
   void ensureProgressiveFresh();
   bool buildProgressiveScene(render::SceneModel& out);
-  /// Damage-diffs `scene` against the previous frame and publishes it.
-  void commitScene(render::SceneModel&& scene, render::SceneModel& out);
 
   std::shared_ptr<const SharedContext> context_;
   std::size_t activePreset_ = SharedContext::kDefaultPreset;
@@ -248,9 +231,6 @@ class Session {
   std::vector<std::uint32_t> boundDisplayed_;  ///< set the engine is bound to
   std::shared_ptr<const QueryResult> lastQuery_;
   std::uint64_t frameIndex_ = 0;
-  std::vector<std::uint64_t> lastCellHashes_;
-  std::vector<std::size_t> lastDamagedCells_;
-  bool lastSceneFullyDamaged_ = true;
   std::unique_ptr<ProgressiveState> progressive_;
 };
 

@@ -2,7 +2,7 @@
 //
 // The cluster protocol ships scene models, events and framebuffer tiles
 // between ranks. MessageBuffer is a simple explicit-layout writer/reader:
-// little-endian fixed-width scalars, length-prefixed strings and vectors.
+// little-endian fixed-width scalars, length-prefixed strings and bytes.
 // Explicit serialization (rather than memcpy of structs) keeps the wire
 // format independent of padding and lets tests fuzz round-trips.
 #pragma once
@@ -68,12 +68,6 @@ class MessageBuffer {
     append(data.data(), data.size());
   }
 
-  template <typename T, typename Fn>
-  void putVector(const std::vector<T>& v, Fn putElem) {
-    putU32(static_cast<std::uint32_t>(v.size()));
-    for (const T& e : v) putElem(*this, e);
-  }
-
   // --- reading -----------------------------------------------------------
 
   std::uint8_t getU8() { return getScalar<std::uint8_t>(); }
@@ -116,15 +110,6 @@ class MessageBuffer {
     const std::span<const std::uint8_t> out(bytes_.data() + cursor_, n);
     cursor_ += n;
     return out;
-  }
-
-  template <typename T, typename Fn>
-  std::vector<T> getVector(Fn getElem) {
-    const std::uint32_t n = getU32();
-    std::vector<T> v;
-    v.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) v.push_back(getElem(*this));
-    return v;
   }
 
  private:

@@ -1,7 +1,9 @@
 #include "render/scene.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <type_traits>
 
 namespace svq::render {
@@ -93,60 +95,85 @@ void renderCell(const SceneModel& scene, const CellView& cell,
 
 namespace {
 
-/// FNV-1a over raw bytes, chained from `h`.
-std::uint64_t fnvMix(std::uint64_t h, const void* data, std::size_t n) {
+// xxHash64's primes; both odd, so multiplying by either is a bijection.
+constexpr std::uint64_t kPrime1 = 0x9e3779b185ebca87ULL;
+constexpr std::uint64_t kPrime2 = 0xc2b2ae3d27d4eb4fULL;
+
+/// One xxHash64-style round. For a fixed state it is a bijection in the
+/// word, and for a fixed word a bijection in the state, so two
+/// equal-length inputs that differ in one word never collide.
+std::uint64_t mixWord(std::uint64_t h, std::uint64_t word) {
+  return std::rotl(h ^ (word * kPrime2), 31) * kPrime1;
+}
+
+/// Folds raw bytes into `h` one 8-byte word per round; a short tail is
+/// zero-padded into one last word, never read past its end.
+std::uint64_t mixBytes(std::uint64_t h, const void* data, std::size_t n) {
   const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= bytes[i];
-    h *= 0x100000001b3ULL;
+  std::size_t i = 0;
+  for (; i + sizeof(std::uint64_t) <= n; i += sizeof(std::uint64_t)) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, bytes + i, sizeof word);
+    h = mixWord(h, word);
+  }
+  if (i < n) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, bytes + i, n - i);
+    h = mixWord(h, word);
   }
   return h;
 }
 
+/// mixBytes of one value that fits a word, with the copy's size known at
+/// compile time.
 template <typename T>
-std::uint64_t fnvValue(std::uint64_t h, const T& v) {
+std::uint64_t mixValue(std::uint64_t h, const T& v) {
   static_assert(std::is_trivially_copyable_v<T>);
-  return fnvMix(h, &v, sizeof(T));
+  static_assert(sizeof(T) <= sizeof(std::uint64_t));
+  std::uint64_t word = 0;
+  std::memcpy(&word, &v, sizeof(T));
+  return mixWord(h, word);
 }
 
 }  // namespace
 
 std::uint64_t sceneStateHash(const SceneModel& scene) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  h = fnvValue(h, scene.stereo.timeScaleCmPerS);
-  h = fnvValue(h, scene.stereo.depthOffsetCm);
-  h = fnvValue(h, scene.stereo.parallaxPxPerCm);
-  h = fnvValue(h, scene.stereo.maxComfortParallaxPx);
-  h = fnvValue(h, scene.arenaRadiusCm);
-  h = fnvValue(h, scene.timeWindow.x);
-  h = fnvValue(h, scene.timeWindow.y);
-  h = fnvValue(h, scene.style.baseColor);
-  h = fnvValue(h, scene.style.nearBrightness);
-  h = fnvValue(h, scene.style.halfWidthPx);
-  h = fnvValue(h, scene.style.startMarkerPx);
-  h = fnvValue(h, scene.drawArenaOutline);
-  h = fnvValue(h, scene.drawCellBorder);
-  h = fnvValue(h, scene.wallBackground);
+  h = mixValue(h, scene.stereo.timeScaleCmPerS);
+  h = mixValue(h, scene.stereo.depthOffsetCm);
+  h = mixValue(h, scene.stereo.parallaxPxPerCm);
+  h = mixValue(h, scene.stereo.maxComfortParallaxPx);
+  h = mixValue(h, scene.arenaRadiusCm);
+  h = mixValue(h, scene.timeWindow.x);
+  h = mixValue(h, scene.timeWindow.y);
+  h = mixValue(h, scene.style.baseColor);
+  h = mixValue(h, scene.style.nearBrightness);
+  h = mixValue(h, scene.style.halfWidthPx);
+  h = mixValue(h, scene.style.startMarkerPx);
+  h = mixValue(h, scene.drawArenaOutline);
+  h = mixValue(h, scene.drawCellBorder);
+  h = mixValue(h, scene.wallBackground);
   return h;
 }
 
 std::uint64_t cellContentHash(const CellView& cell, std::uint64_t sceneHash) {
   std::uint64_t h = sceneHash;
-  h = fnvValue(h, cell.trajectoryIndex);
-  h = fnvValue(h, cell.rect.x);
-  h = fnvValue(h, cell.rect.y);
-  h = fnvValue(h, cell.rect.w);
-  h = fnvValue(h, cell.rect.h);
-  h = fnvValue(h, cell.background);
-  h = fnvMix(h, cell.segmentHighlights.data(), cell.segmentHighlights.size());
-  h = fnvMix(h, cell.label.data(), cell.label.size());
+  h = mixValue(h, cell.trajectoryIndex);
+  h = mixValue(h, cell.rect.x);
+  h = mixValue(h, cell.rect.y);
+  h = mixValue(h, cell.rect.w);
+  h = mixValue(h, cell.rect.h);
+  h = mixValue(h, cell.background);
+  h = mixBytes(h, cell.segmentHighlights.data(),
+               cell.segmentHighlights.size());
+  h = mixBytes(h, cell.label.data(), cell.label.size());
   // Length separators so {highlights="A", label=""} != {"", "A"}.
-  h = fnvValue(h, static_cast<std::uint64_t>(cell.segmentHighlights.size()));
-  h = fnvValue(h, static_cast<std::uint64_t>(cell.label.size()));
-  // Coverage folds only when it draws (< 1.0), so every pre-anytime hash
-  // — including the golden replay frame hashes — is unchanged.
+  h = mixValue(h, static_cast<std::uint64_t>(cell.segmentHighlights.size()));
+  h = mixValue(h, static_cast<std::uint64_t>(cell.label.size()));
+  // Coverage folds only when it draws (< 1.0): an exact or converged cell
+  // keys exactly like one that never set it.
   if (cell.coverage < 1.0f) {
-    h = fnvValue(h, cell.coverage);
+    h = mixValue(h, cell.coverage);
   }
   return h;
 }

@@ -78,8 +78,10 @@ void renderCell(const SceneModel& scene, const CellView& cell,
 // --- content hashing ---------------------------------------------------------
 // The dirty-cell pipeline (render/pipeline.h) and the delta scene
 // broadcast (cluster/scene_serde.h) both need to answer "did this cell's
-// pixels change?" without rasterizing. These FNV-1a hashes cover every
+// pixels change?" without rasterizing. These 64-bit keys cover every
 // input that renderCell reads, so key equality implies pixel equality.
+// They fold one xxHash64-style round per 8-byte word of input (DESIGN.md
+// §10): two equal-length inputs that differ in one word never collide.
 
 /// Hash of the scene-wide fields that affect every cell's pixels (stereo,
 /// window, style, flags, arena radius, wall background). Deliberately

@@ -21,7 +21,9 @@ namespace {
 std::atomic<std::size_t> gLargestAlloc{0};
 }  // namespace
 
-void* operator new(std::size_t n) {
+// The new and both deletes stay out of line, so the compiler never pairs
+// a malloc or free it can see with the matching delete or new.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   std::size_t seen = gLargestAlloc.load(std::memory_order_relaxed);
   while (n > seen && !gLargestAlloc.compare_exchange_weak(
                          seen, n, std::memory_order_relaxed)) {
@@ -29,7 +31,6 @@ void* operator new(std::size_t n) {
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
-// Out of line, so the compiler never pairs a visible new with this free.
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
   std::free(p);

@@ -196,32 +196,33 @@ TEST_F(SessionTest, ScriptReplayAppliesEverything) {
 }
 
 TEST_F(SessionTest, BuildSceneReportsDamagedCells) {
-  // First build has no baseline: everything is damaged. (The stroke also
-  // makes highlight rows exist everywhere, so the later dab below changes
-  // only the rows it actually brushes.)
+  // Damage is the diff of consecutive scenes' cell content keys, as the
+  // render pipeline and the delta encoder compute it. The stroke makes
+  // highlight rows exist everywhere, so the later dab below changes only
+  // the rows it actually brushes.
   app_.apply(ui::BrushStrokeEvent{0, {-20.0f, 0.0f}, 15.0f});
-  app_.buildScene();
-  EXPECT_TRUE(app_.lastSceneFullyDamaged());
+  const std::vector<std::uint64_t> first =
+      render::sceneCellHashes(app_.buildScene());
 
-  // Rebuilding an unchanged session damages nothing.
-  app_.buildScene();
-  EXPECT_FALSE(app_.lastSceneFullyDamaged());
-  EXPECT_TRUE(app_.lastDamagedCells().empty());
+  // Rebuilding an unchanged session keeps every key.
+  EXPECT_EQ(render::sceneCellHashes(app_.buildScene()), first);
 
-  // A localized dab damages some cells, but not the whole wall.
+  // A localized dab changes some keys, but not the whole wall's.
   app_.apply(ui::BrushStrokeEvent{1, {-12.0f, 4.0f}, 3.0f});
-  const render::SceneModel scene = app_.buildScene();
-  EXPECT_FALSE(app_.lastSceneFullyDamaged());
-  EXPECT_FALSE(app_.lastDamagedCells().empty());
-  EXPECT_LT(app_.lastDamagedCells().size(), scene.cells.size());
-  for (const std::size_t i : app_.lastDamagedCells()) {
-    EXPECT_LT(i, scene.cells.size());
+  const std::vector<std::uint64_t> dabbed =
+      render::sceneCellHashes(app_.buildScene());
+  ASSERT_EQ(dabbed.size(), first.size());
+  std::size_t damaged = 0;
+  for (std::size_t i = 0; i < dabbed.size(); ++i) {
+    if (dabbed[i] != first[i]) ++damaged;
   }
+  EXPECT_GT(damaged, 0u);
+  EXPECT_LT(damaged, dabbed.size());
 
-  // A layout switch changes the cell count: full damage again.
+  // A layout switch changes the cell count.
   app_.apply(ui::LayoutSwitchEvent{2});
-  app_.buildScene();
-  EXPECT_TRUE(app_.lastSceneFullyDamaged());
+  EXPECT_NE(render::sceneCellHashes(app_.buildScene()).size(),
+            dabbed.size());
 }
 
 TEST(SessionSmallWallTest, WorksOnSingleTileWall) {

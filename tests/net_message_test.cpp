@@ -73,16 +73,6 @@ TEST(MessageBufferTest, BytesRoundTrip) {
   EXPECT_EQ(buf.getU8(), 7u);
 }
 
-TEST(MessageBufferTest, VectorRoundTrip) {
-  MessageBuffer buf;
-  const std::vector<std::uint32_t> v{5, 10, 15};
-  buf.putVector(v, [](MessageBuffer& b, std::uint32_t x) { b.putU32(x); });
-  buf.rewind();
-  const auto out = buf.getVector<std::uint32_t>(
-      [](MessageBuffer& b) { return b.getU32(); });
-  EXPECT_EQ(out, v);
-}
-
 TEST(MessageBufferTest, UnderrunThrows) {
   MessageBuffer buf;
   buf.putU8(1);

@@ -32,7 +32,8 @@ SceneModel makeScene(const traj::TrajectoryDataset& ds, int cols = 4,
       cell.trajectoryIndex = static_cast<std::uint32_t>(i % ds.size());
       cell.rect = {cx * cellW, cy * cellH, cellW, cellH};
       cell.background = groupBackground(static_cast<std::size_t>(i % 3));
-      cell.label = "C" + std::to_string(i);
+      cell.label = std::to_string(i);
+      cell.label.insert(0, 1, 'C');
       scene.cells.push_back(cell);
     }
   }

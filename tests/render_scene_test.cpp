@@ -4,7 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "traj/synth.h"
+#include "util/rng.h"
 
 namespace svq::render {
 namespace {
@@ -188,6 +194,168 @@ TEST(SceneTest, ParallaxAwareCullingKeepsShiftedContent) {
   const RenderStats stats = renderScene(scene, ds, canvas, Eye::kLeft);
   // The parallax inflation must keep this cell (not cull it).
   EXPECT_EQ(stats.cellsDrawn, 1u);
+}
+
+// --- content keys ------------------------------------------------------------
+
+/// A highlight row of `n` values in {-1, 0, 1, 2}, as the query engine
+/// writes them (no highlight, brushes 0..2).
+std::vector<std::int8_t> highlightRow(std::size_t n, Rng& rng) {
+  std::vector<std::int8_t> row(n);
+  for (std::int8_t& v : row) {
+    v = static_cast<std::int8_t>(static_cast<int>(rng.below(4)) - 1);
+  }
+  return row;
+}
+
+CellView keyedCell() {
+  CellView cell;
+  cell.trajectoryIndex = 7;
+  cell.rect = {120, 40, 56, 48};
+  cell.background = groupBackground(2);
+  cell.segmentHighlights = {-1, 0, 1, 2, -1, -1, 0, 1, 2, 2, -1};
+  cell.label = "C17";
+  return cell;
+}
+
+TEST(CellContentHashTest, EveryHighlightByteCountsAtEveryTailLength) {
+  // Lengths 0..24 put every tail length (0..7 bytes) in each of the first
+  // three words.
+  const std::uint64_t sceneHash = sceneStateHash(SceneModel{});
+  Rng rng(1);
+  for (std::size_t n = 0; n <= 24; ++n) {
+    CellView cell = keyedCell();
+    cell.segmentHighlights = highlightRow(n, rng);
+    const std::uint64_t key = cellContentHash(cell, sceneHash);
+    for (std::size_t i = 0; i < n; ++i) {
+      CellView changed = cell;
+      for (int delta = 1; delta < 256; ++delta) {
+        changed.segmentHighlights[i] =
+            static_cast<std::int8_t>(cell.segmentHighlights[i] + delta);
+        ASSERT_NE(cellContentHash(changed, sceneHash), key)
+            << "length " << n << ", byte " << i << ", delta " << delta;
+      }
+    }
+  }
+}
+
+TEST(CellContentHashTest, EveryCellFieldCounts) {
+  const std::uint64_t sceneHash = sceneStateHash(SceneModel{});
+  const CellView base = keyedCell();
+  const std::uint64_t key = cellContentHash(base, sceneHash);
+  const auto keyChanges = [&](const auto& mutate) {
+    CellView cell = base;
+    mutate(cell);
+    return cellContentHash(cell, sceneHash) != key;
+  };
+  EXPECT_TRUE(keyChanges([](CellView& c) { c.trajectoryIndex += 1; }));
+  EXPECT_TRUE(keyChanges([](CellView& c) { c.rect.x += 1; }));
+  EXPECT_TRUE(keyChanges([](CellView& c) { c.rect.y += 1; }));
+  EXPECT_TRUE(keyChanges([](CellView& c) { c.rect.w += 1; }));
+  EXPECT_TRUE(keyChanges([](CellView& c) { c.rect.h += 1; }));
+  EXPECT_TRUE(keyChanges([](CellView& c) { c.background.r ^= 1; }));
+  EXPECT_TRUE(keyChanges([](CellView& c) { c.background.g ^= 1; }));
+  EXPECT_TRUE(keyChanges([](CellView& c) { c.background.b ^= 1; }));
+  EXPECT_TRUE(keyChanges([](CellView& c) { c.background.a ^= 1; }));
+  for (std::size_t i = 0; i < base.label.size(); ++i) {
+    for (int delta = 1; delta < 256; ++delta) {
+      EXPECT_TRUE(keyChanges([&](CellView& c) {
+        c.label[i] = static_cast<char>(c.label[i] + delta);
+      })) << "label byte " << i << ", delta " << delta;
+    }
+  }
+  // The same bytes in the same order, split differently between the
+  // highlight row and the label.
+  EXPECT_TRUE(keyChanges([](CellView& c) {
+    c.label.insert(0, 1, static_cast<char>(c.segmentHighlights.back()));
+    c.segmentHighlights.pop_back();
+  }));
+}
+
+TEST(CellContentHashTest, CoverageCountsOnlyBelowOne) {
+  CellView cell = keyedCell();
+  const std::uint64_t unset = cellContentHash(cell, 0);
+  cell.coverage = 1.0f;
+  EXPECT_EQ(cellContentHash(cell, 0), unset);
+  // No coverage strip is drawn at or above 1.0.
+  cell.coverage = 2.0f;
+  EXPECT_EQ(cellContentHash(cell, 0), unset);
+  cell.coverage = 0.5f;
+  const std::uint64_t half = cellContentHash(cell, 0);
+  cell.coverage = 0.25f;
+  const std::uint64_t quarter = cellContentHash(cell, 0);
+  EXPECT_NE(half, unset);
+  EXPECT_NE(quarter, unset);
+  EXPECT_NE(half, quarter);
+}
+
+TEST(SceneStateHashTest, EverySceneWideFieldCountsButQueryGeneration) {
+  const SceneModel base;
+  const std::uint64_t key = sceneStateHash(base);
+  const auto keyChanges = [&](const auto& mutate) {
+    SceneModel scene = base;
+    mutate(scene);
+    return sceneStateHash(scene) != key;
+  };
+  EXPECT_TRUE(keyChanges([](SceneModel& s) { s.stereo.timeScaleCmPerS += 1; }));
+  EXPECT_TRUE(keyChanges([](SceneModel& s) { s.stereo.depthOffsetCm += 1; }));
+  EXPECT_TRUE(keyChanges([](SceneModel& s) { s.stereo.parallaxPxPerCm += 1; }));
+  EXPECT_TRUE(
+      keyChanges([](SceneModel& s) { s.stereo.maxComfortParallaxPx += 1; }));
+  EXPECT_TRUE(keyChanges([](SceneModel& s) { s.arenaRadiusCm += 1; }));
+  EXPECT_TRUE(keyChanges([](SceneModel& s) { s.timeWindow.x += 1; }));
+  EXPECT_TRUE(keyChanges([](SceneModel& s) { s.timeWindow.y = 60.0f; }));
+  EXPECT_TRUE(keyChanges([](SceneModel& s) { s.style.baseColor.r ^= 1; }));
+  EXPECT_TRUE(keyChanges([](SceneModel& s) { s.style.baseColor.g ^= 1; }));
+  EXPECT_TRUE(keyChanges([](SceneModel& s) { s.style.baseColor.b ^= 1; }));
+  EXPECT_TRUE(keyChanges([](SceneModel& s) { s.style.baseColor.a ^= 1; }));
+  EXPECT_TRUE(keyChanges([](SceneModel& s) { s.style.nearBrightness += 1; }));
+  EXPECT_TRUE(keyChanges([](SceneModel& s) { s.style.halfWidthPx += 1; }));
+  EXPECT_TRUE(keyChanges([](SceneModel& s) { s.style.startMarkerPx += 1; }));
+  EXPECT_TRUE(keyChanges(
+      [](SceneModel& s) { s.drawArenaOutline = !s.drawArenaOutline; }));
+  EXPECT_TRUE(
+      keyChanges([](SceneModel& s) { s.drawCellBorder = !s.drawCellBorder; }));
+  EXPECT_TRUE(keyChanges([](SceneModel& s) { s.wallBackground.r ^= 1; }));
+  EXPECT_TRUE(keyChanges([](SceneModel& s) { s.wallBackground.g ^= 1; }));
+  EXPECT_TRUE(keyChanges([](SceneModel& s) { s.wallBackground.b ^= 1; }));
+  EXPECT_TRUE(keyChanges([](SceneModel& s) { s.wallBackground.a ^= 1; }));
+  // The highlight source, not the pixels: it must not dirty every cell.
+  EXPECT_FALSE(keyChanges([](SceneModel& s) { s.queryGeneration = 42; }));
+}
+
+/// Random row `id / 2` (length 0..600); odd ids change one of its bytes
+/// to another value.
+std::vector<std::int8_t> randomRow(std::uint64_t id) {
+  Rng rng(id / 2);
+  std::vector<std::int8_t> row = highlightRow(rng.below(601), rng);
+  if (id % 2 == 1 && !row.empty()) {
+    const std::size_t at = rng.below(row.size());
+    const int shift = 1 + static_cast<int>(rng.below(3));
+    row[at] = static_cast<std::int8_t>((row[at] + 1 + shift) % 4 - 1);
+  }
+  return row;
+}
+
+TEST(CellContentHashTest, RandomRowsAndOneByteMutantsNeverCollide) {
+  constexpr std::uint64_t kIds = 2 * 100000;
+  CellView cell = keyedCell();
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> keyed;  // (key, id)
+  keyed.reserve(kIds);
+  for (std::uint64_t id = 0; id < kIds; ++id) {
+    cell.segmentHighlights = randomRow(id);
+    keyed.emplace_back(cellContentHash(cell, 0), id);
+  }
+  std::sort(keyed.begin(), keyed.end());
+  std::size_t repeats = 0;
+  for (std::size_t i = 1; i < keyed.size(); ++i) {
+    if (keyed[i].first != keyed[i - 1].first) continue;
+    // Only equal rows may share a key; short rows do repeat.
+    ASSERT_EQ(randomRow(keyed[i].second), randomRow(keyed[i - 1].second))
+        << "ids " << keyed[i - 1].second << " and " << keyed[i].second;
+    ++repeats;
+  }
+  EXPECT_LT(repeats, kIds / 50);
 }
 
 }  // namespace
