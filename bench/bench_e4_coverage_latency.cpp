@@ -3,7 +3,8 @@
 // Regenerates: the "432 trajectories simultaneously = 85% of the data"
 // coverage table across layout presets; the end-to-end latency of one
 // interaction step (brush event -> coordinated query -> scene build ->
-// wall frame render); and the cadence of a hypothesis battery ("several
+// wall frame render, through one CellRenderPipeline kept across dabs as
+// the app keeps it); and the cadence of a hypothesis battery ("several
 // hypotheses ... within a span of few minutes" — computationally,
 // milliseconds each).
 #include <benchmark/benchmark.h>
@@ -11,7 +12,7 @@
 #include "bench_common.h"
 #include "core/hypothesis.h"
 #include "core/session.h"
-#include "render/scene.h"
+#include "render/pipeline.h"
 
 using namespace svq;
 
@@ -23,14 +24,16 @@ void BM_EndToEndInteraction(benchmark::State& state) {
   core::Session app(core::SharedContext::create(ds, wallSpec));
   app.apply(ui::LayoutSwitchEvent{2});
   render::Framebuffer fb(wallSpec.totalPxW(), wallSpec.totalPxH());
+  render::CellRenderPipeline pipeline;
   float x = -30.0f;
   for (auto _ : state) {
     // One interaction step: a brush dab lands, the query re-evaluates
-    // across all displayed trajectories, and the frame re-renders.
+    // across all displayed trajectories, and the frame re-renders the
+    // cells whose content changed.
     app.apply(ui::BrushStrokeEvent{0, {x, 0.0f}, 8.0f});
     const render::SceneModel scene = app.buildScene();
-    auto stats = renderScene(scene, ds, render::Canvas::whole(fb),
-                             render::Eye::kLeft);
+    auto stats = pipeline.render(scene, ds, render::Canvas::whole(fb),
+                                 render::Eye::kLeft);
     benchmark::DoNotOptimize(stats);
     x = x >= 30.0f ? -30.0f : x + 2.0f;
     if (app.brush().strokes().size() > 64) {

@@ -5,14 +5,17 @@
 // 15x4 / 24x6 / 36x12 with their cell counts and bezel-safety), layout
 // computation cost, and per-frame wall render cost — at the paper's
 // 8196x1536 resolution for the headline numbers and at reduced
-// resolution for the per-preset sweep.
+// resolution for the per-preset sweep. A frame is a cold, serial
+// CellRenderPipeline render (a fresh pipeline per iteration): every
+// visible cell rasterized and copied into the pixel cache, as in the
+// app's first frame after a layout switch.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
 #include "core/groups.h"
 #include "core/layout.h"
 #include "core/session.h"
-#include "render/scene.h"
+#include "render/pipeline.h"
 
 using namespace svq;
 
@@ -51,13 +54,15 @@ void BM_WallFrameRender(benchmark::State& state) {
   app.refreshAssignment();
   const render::SceneModel scene = app.buildScene();
   render::Framebuffer fb(wallSpec.totalPxW(), wallSpec.totalPxH());
-  render::RenderStats stats;
+  render::PipelineStats stats;
   for (auto _ : state) {
-    stats = renderScene(scene, ds, render::Canvas::whole(fb),
-                        render::Eye::kLeft);
-    benchmark::DoNotOptimize(fb);
+    render::CellRenderPipeline pipeline;
+    stats = pipeline.render(scene, ds, render::Canvas::whole(fb),
+                            render::Eye::kLeft);
+    benchmark::DoNotOptimize(fb.pixels().data());
+    benchmark::ClobberMemory();
   }
-  state.counters["cells_drawn"] = static_cast<double>(stats.cellsDrawn);
+  state.counters["cells_drawn"] = static_cast<double>(stats.cellsDrawn());
   state.counters["segments"] = static_cast<double>(stats.segmentsDrawn);
   state.counters["Mpx"] =
       static_cast<double>(wallSpec.totalPixels()) / 1e6;
@@ -81,9 +86,12 @@ void BM_WallFrameRenderPaperRes(benchmark::State& state) {
   const render::SceneModel scene = app.buildScene();
   render::Framebuffer fb(wallSpec.totalPxW(), wallSpec.totalPxH());
   for (auto _ : state) {
-    auto stats = renderScene(scene, ds, render::Canvas::whole(fb),
-                             render::Eye::kLeft);
+    render::CellRenderPipeline pipeline;
+    auto stats = pipeline.render(scene, ds, render::Canvas::whole(fb),
+                                 render::Eye::kLeft);
     benchmark::DoNotOptimize(stats);
+    benchmark::DoNotOptimize(fb.pixels().data());
+    benchmark::ClobberMemory();
   }
   state.counters["Mpx"] =
       static_cast<double>(wallSpec.totalPixels()) / 1e6;

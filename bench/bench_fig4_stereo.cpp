@@ -3,12 +3,13 @@
 // Regenerates: the per-trajectory tessellation and rasterization cost
 // (mono vs stereo — the paper's wall renders two views per frame, so the
 // expected shape is ~2x), stereo composition cost, and the parallax
-// figures behind the ergonomic-slider comfort envelope.
+// figures behind the ergonomic-slider comfort envelope. A cell render is
+// a cold CellRenderPipeline render, a fresh pipeline per eye.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
+#include "render/pipeline.h"
 #include "render/rasterizer.h"
-#include "render/scene.h"
 #include "render/stereo.h"
 
 using namespace svq;
@@ -43,14 +44,22 @@ void renderCellNTimes(benchmark::State& state, bool stereo) {
   cell.rect = {0, 0, 400, 400};
   scene.cells.push_back(cell);
   render::Framebuffer fb(400, 400);
+  // No pixel cache: the timing is tessellation + rasterization, without
+  // the per-cell snapshot a caching pipeline copies out after drawing.
+  render::PipelineOptions options;
+  options.cacheBudgetBytes = 0;
   for (auto _ : state) {
-    auto stats = renderScene(scene, ds, render::Canvas::whole(fb),
+    render::CellRenderPipeline left(options);
+    auto stats = left.render(scene, ds, render::Canvas::whole(fb),
                              render::Eye::kLeft);
     if (stereo) {
-      stats = renderScene(scene, ds, render::Canvas::whole(fb),
-                          render::Eye::kRight);
+      render::CellRenderPipeline right(options);
+      stats = right.render(scene, ds, render::Canvas::whole(fb),
+                           render::Eye::kRight);
     }
     benchmark::DoNotOptimize(stats);
+    benchmark::DoNotOptimize(fb.pixels().data());
+    benchmark::ClobberMemory();
   }
 }
 

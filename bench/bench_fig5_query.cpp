@@ -7,7 +7,7 @@
 // queried in a matter of few seconds" claim reduces computationally to
 // millisecond-scale evaluation plus pre-attentive perception.
 //
-// Writes BENCH_query.json (see bench_json.h; consumed by
+// Writes BENCH_query.json (BenchReport, bench_common.h; consumed by
 // scripts/perf_smoke.py): the incremental-vs-full dab edit ratios plus the
 // SIMD-vs-scalar point-in-brush kernel ratio, which must come with
 // bit-identical outputs (non-zero exit otherwise). --smoke shrinks the
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "bench_json.h"
 #include "core/hypothesis.h"
 #include "core/query.h"
 #include "core/querykernel.h"

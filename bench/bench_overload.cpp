@@ -24,7 +24,7 @@
 //   - no wedge: wedged == 0 (no victim attempt over 1 s),
 //   - recovery: recovered == 1 and health() == kHealthy at the end.
 //
-// Writes BENCH_overload.json (bench_json.h; consumed by
+// Writes BENCH_overload.json (BenchReport, bench_common.h; consumed by
 // scripts/perf_smoke.py against bench/baselines/BENCH_overload_smoke.json).
 #include <algorithm>
 #include <atomic>
@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "bench_json.h"
 #include "core/sessionservice.h"
 #include "util/metrics.h"
 #include "util/stopwatch.h"

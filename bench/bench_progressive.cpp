@@ -27,7 +27,7 @@
 //   - (full run only) first_pixel median <= 16 ms and time_to_exact
 //     median <= 1.25x full_exact median.
 //
-// Writes BENCH_progressive.json (bench_json.h; consumed by
+// Writes BENCH_progressive.json (BenchReport, bench_common.h; consumed by
 // scripts/perf_smoke.py against bench/baselines/
 // BENCH_progressive_smoke.json). --smoke shrinks the store for CI;
 // --out=PATH overrides the report path.

@@ -2,14 +2,16 @@
 // and delta scene broadcast, on the paper's 432-cell wall layout.
 //
 // The interactive loop this measures is the paper's: the analyst dabs the
-// brush, the wall repaints. The legacy path re-rasterizes all 432 cells
-// every frame; the CellRenderPipeline repaints only the cells whose
+// brush, the wall repaints. The full-redraw reference renderer
+// (tests/support/reference_render.h) re-rasterizes all 432 cells every
+// frame; the CellRenderPipeline repaints only the cells whose
 // content hash changed (a dab touches a handful) and restores the rest
 // from the per-cell framebuffer cache. The cluster master ships only the
 // changed cells (delta broadcast) instead of the whole scene.
 //
 // Scenarios (all over the same pre-built frame sequence):
-//   full_serial_redraw    renderScene of every frame — the baseline
+//   full_serial_redraw    reference renderScene of every frame — the
+//                         baseline and the per-frame ground truth
 //   pipeline_cold         pipeline first frame (full recomposite)
 //   pipeline_dab_serial   pipeline steady-state dab edits, no pool
 //   pipeline_dab_threads4 same, 4-thread pool — must be bit-identical
@@ -31,7 +33,7 @@
 //     full serial redraw, delta broadcast bytes <= 10% of full-scene
 //     bytes per frame, and each SIMD kernel >= 2x faster than scalar.
 //
-// Writes BENCH_render.json (see bench_json.h; consumed by
+// Writes BENCH_render.json (BenchReport, bench_common.h; consumed by
 // scripts/perf_smoke.py). --smoke shrinks the wall/layout/frame count for
 // CI; --out=PATH overrides the report path.
 #include <algorithm>
@@ -42,9 +44,9 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "bench_json.h"
 #include "cluster/clusterapp.h"
 #include "core/session.h"
+#include "reference_render.h"
 #include "render/kernels.h"
 #include "render/pipeline.h"
 #include "render/spacetime.h"
@@ -145,7 +147,7 @@ int run(const Options& opt) {
 
   bench::BenchReport report;
   MetricsRegistry& reg = MetricsRegistry::global();
-  const render::Eye eye = render::Eye::kCenter;  // zero parallax: legacy
+  const render::Eye eye = render::Eye::kCenter;  // zero parallax: reference
                                                  // and pipeline pixels
                                                  // are comparable
   bool ok = true;

@@ -26,7 +26,7 @@
 //   - (full run only) the 256-session scenario sustains all 256 tenants
 //     with apply p99 <= 200 ms, and its cache cross-hit-rate >= 0.5.
 //
-// Writes BENCH_sessions.json (bench_json.h; consumed by
+// Writes BENCH_sessions.json (BenchReport, bench_common.h; consumed by
 // scripts/perf_smoke.py against bench/baselines/BENCH_sessions_smoke.json).
 #include <atomic>
 #include <cmath>
@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "bench_json.h"
 #include "core/sessionservice.h"
 #include "render/pipeline.h"
 #include "util/metrics.h"

@@ -12,8 +12,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "render/pipeline.h"
 #include "render/rasterizer.h"
-#include "render/scene.h"
 #include "render/stereo.h"
 #include "traj/synth.h"
 
@@ -25,7 +25,8 @@ render::Framebuffer renderEye(const traj::TrajectoryDataset& dataset,
                               const render::SceneModel& scene,
                               render::Eye eye, int w, int h) {
   render::Framebuffer fb(w, h);
-  renderScene(scene, dataset, render::Canvas::whole(fb), eye);
+  render::CellRenderPipeline pipeline;
+  pipeline.render(scene, dataset, render::Canvas::whole(fb), eye);
   return fb;
 }
 

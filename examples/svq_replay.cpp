@@ -4,7 +4,7 @@
 //   list                      print the shipped scenario names
 //   run <scenario|file.svqr>  replay headless, print per-run summary
 //       [--threads N] [--delta] [--faults] [--no-shared-cache]
-//       [--timing-log PATH]   write a bench_json-shaped timing report
+//       [--timing-log PATH]   write a BenchReport-shaped timing report
 //       [--hashes]            print every step's frame hash
 //   export <scenario> <file.svqr>   save a shipped scenario as a binary
 //                                   recording (replayable with `run`)

@@ -186,7 +186,7 @@ struct ClusterOptions {
 /// Per-rank accounting for one session.
 struct RankStats {
   int rank = 0;
-  double renderSeconds = 0.0;    ///< total time in renderScene
+  double renderSeconds = 0.0;    ///< total time in the tile pipelines
   double barrierSeconds = 0.0;   ///< total time blocked in the swap barrier
   double gatherSeconds = 0.0;    ///< total time serializing/sending tiles
   /// Cells composited into this rank's tiles (rasterized + restored from

@@ -39,8 +39,8 @@ struct ClusterSceneOptions {
 /// Overview scene: one cell per displayable (non-empty) cluster, in SOM
 /// lattice order, in a near-square grid apportioned over the wall.
 /// `brush` may be empty (no highlights). The returned dataset holds the
-/// cluster-average trajectories and must be passed to renderScene
-/// alongside the scene.
+/// cluster-average trajectories and must be passed to
+/// CellRenderPipeline::render alongside the scene.
 struct ClusterOverviewScene {
   traj::TrajectoryDataset averagesDataset;  ///< cluster averages as dataset
   render::SceneModel scene;

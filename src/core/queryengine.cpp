@@ -104,7 +104,6 @@ std::shared_ptr<const QueryResult> QueryEngine::evaluate(
 
   if (dirty.empty() && !temporalDirty_) {
     ++metrics_.cachedPasses;
-    lastInvalidated_.clear();
     return current();
   }
 
@@ -212,7 +211,6 @@ std::shared_ptr<const QueryResult> QueryEngine::evaluate(
     ++metrics_.spatialPasses;
   }
   metrics_.lastPassMillis = watch.elapsedMillis();
-  lastInvalidated_ = std::move(dirty);
 
   std::shared_ptr<const QueryResult> published = std::move(next);
   publish(published);

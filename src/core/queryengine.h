@@ -143,16 +143,6 @@ class QueryEngine {
   /// Monotonic generation counter (0 before the first pass).
   std::uint64_t generation() const { return generation_; }
 
-  /// Positions (into the bound trajectory list) whose spatial
-  /// classification was recomputed by the last evaluate(). Empty after a
-  /// fully cached pass. A temporal-window pass rebuilds every row without
-  /// spatial work — it reports an empty set here and shows up in
-  /// metrics().temporalOnlyPasses; renderers use scene content hashes
-  /// (render::sceneCellHashes) as the per-cell damage ground truth.
-  const std::vector<std::size_t>& lastInvalidated() const {
-    return lastInvalidated_;
-  }
-
   std::size_t trajectoryCount() const { return refs_.size(); }
 
   const QueryEngineMetrics& metrics() const { return metrics_; }
@@ -176,7 +166,6 @@ class QueryEngine {
   AABB2 frame_;
   std::vector<CacheEntry> cache_;
   std::vector<AABB2> pendingDirtyRects_;
-  std::vector<std::size_t> lastInvalidated_;
   bool temporalDirty_ = true;
 
   mutable std::mutex currentMutex_;

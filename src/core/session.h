@@ -171,7 +171,7 @@ class Session {
 
   /// The dataset the last built scene's cells index: the cluster averages
   /// in progressive mode, the context dataset otherwise. Renderers must
-  /// pass this (not the context dataset) to renderScene.
+  /// pass this (not the context dataset) to CellRenderPipeline::render.
   const traj::TrajectoryDataset& sceneDataset() const {
     return progressive_ ? progressive_->sceneDataset : dataset();
   }

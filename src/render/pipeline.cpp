@@ -1,6 +1,5 @@
 #include "render/pipeline.h"
 
-#include <cassert>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -23,7 +22,6 @@ struct PipelineMetrics {
   Counter& pixelsRasterized;
   Counter& pixelsBlitted;
   Counter& fullRecomposites;
-  Counter& overlapFallbacks;
 
   static PipelineMetrics& get() {
     MetricsRegistry& reg = MetricsRegistry::global();
@@ -34,8 +32,7 @@ struct PipelineMetrics {
                              reg.counter("render.cells_culled"),
                              reg.counter("render.pixels_rasterized"),
                              reg.counter("render.pixels_blitted"),
-                             reg.counter("render.full_recomposites"),
-                             reg.counter("render.overlap_fallbacks")};
+                             reg.counter("render.full_recomposites")};
     return m;
   }
 };
@@ -71,15 +68,17 @@ CellRenderPipeline::CellRenderPipeline(PipelineOptions options)
   }
 }
 
-bool CellRenderPipeline::cellsDisjoint(const SceneModel& scene) const {
-  // O(n^2) pairwise check over non-empty rects; layouts are a few hundred
-  // cells and this runs only when the layout changes.
-  const std::size_t n = scene.cells.size();
+bool CellRenderPipeline::clipsDisjoint() const {
+  // O(n^2) pairwise check over non-empty clips; layouts are a few hundred
+  // cells and this runs only when the layout changes. Clips, not rects:
+  // cells that overlap only outside the canvas never share a pixel here,
+  // and the flag then changes exactly when the layout key does.
+  const std::size_t n = slots_.size();
   for (std::size_t i = 0; i < n; ++i) {
-    const RectI& a = scene.cells[i].rect;
+    const RectI& a = slots_[i].clip;
     if (a.empty()) continue;
     for (std::size_t j = i + 1; j < n; ++j) {
-      if (a.intersects(scene.cells[j].rect)) return false;
+      if (a.intersects(slots_[j].clip)) return false;
     }
   }
   return true;
@@ -93,7 +92,7 @@ void CellRenderPipeline::resetLayout(const SceneModel& scene,
     slots_[i].clip = scene.cells[i].rect.clipped(bounds);
   }
   cachedBytes_ = 0;
-  layoutDisjoint_ = cellsDisjoint(scene);
+  layoutDisjoint_ = clipsDisjoint();
 }
 
 PipelineStats CellRenderPipeline::render(const SceneModel& scene,
@@ -114,11 +113,6 @@ PipelineStats CellRenderPipeline::render(const SceneModel& scene,
   const std::uint64_t sceneHash =
       sceneStateHash(scene) ^
       (0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(eye) + 1));
-  std::vector<std::uint64_t> newKeys;
-  newKeys.reserve(scene.cells.size());
-  for (const CellView& cell : scene.cells) {
-    newKeys.push_back(cellContentHash(cell, sceneHash));
-  }
 
   // Layout change = any cell's clipped rect moved, or the cell count
   // changed. A moved cell leaves stale pixels at its old location that no
@@ -137,19 +131,10 @@ PipelineStats CellRenderPipeline::render(const SceneModel& scene,
 
   if (!layoutDisjoint_) {
     // Overlapping cells depend on painter's order; incremental skip and
-    // parallel rasterization are both unsound, so defer to the serial
-    // legacy renderer wholesale.
-    stats.overlapFallback = true;
-    metrics.overlapFallbacks.add(1);
-    const RenderStats legacy = renderScene(scene, dataset, canvas, eye);
-    stats.cellsRasterized = legacy.cellsDrawn;
-    stats.cellsCulled = legacy.cellsCulled;
-    stats.segmentsDrawn = legacy.segmentsDrawn;
-    stats.fullRecomposite = true;
-    metrics.cellsRasterized.add(legacy.cellsDrawn);
-    metrics.cellsCulled.add(legacy.cellsCulled);
-    keys_ = std::move(newKeys);
-    targetValid_ = false;  // incremental state is meaningless here
+    // parallel rasterization are both unsound. Draw nothing, and distrust
+    // the target so the next disjoint scene recomposites.
+    stats.refused = true;
+    targetValid_ = false;
     return stats;
   }
 
@@ -166,9 +151,11 @@ PipelineStats CellRenderPipeline::render(const SceneModel& scene,
 
   // Classify every cell: culled / skip / blit-from-cache / rasterize.
   // Budget accounting happens here, serially, so the parallel phase only
-  // touches per-cell disjoint state.
+  // touches per-cell disjoint state. Only visible cells are keyed: a
+  // culled slot's key is never read, because a clip change resets it.
   struct Work {
     std::size_t cell;
+    std::uint64_t key;
     bool cachePixels;
   };
   std::vector<Work> toRasterize;
@@ -177,11 +164,10 @@ PipelineStats CellRenderPipeline::render(const SceneModel& scene,
     CellSlot& slot = slots_[i];
     if (slot.clip.empty()) {
       ++stats.cellsCulled;
-      slot.key = newKeys[i];
-      slot.hasKey = true;
       continue;
     }
-    const bool unchanged = slot.hasKey && slot.key == newKeys[i];
+    const std::uint64_t key = cellContentHash(scene.cells[i], sceneHash);
+    const bool unchanged = slot.hasKey && slot.key == key;
     if (unchanged && !recomposite) {
       ++stats.cellsSkipped;
       continue;
@@ -214,19 +200,19 @@ PipelineStats CellRenderPipeline::render(const SceneModel& scene,
     // hit is pixel-identical by construction.
     if (options_.sharedCache != nullptr) {
       if (auto shared = options_.sharedCache->find(
-              newKeys[i], slot.clip.w, slot.clip.h, sharedClientId_)) {
+              key, slot.clip.w, slot.clip.h, sharedClientId_)) {
         canvas.blitRows(*shared, 0, 0, slot.clip);
         ++stats.cellsSharedBlitted;
         stats.pixelsBlitted += static_cast<std::uint64_t>(slot.clip.areaPx());
         // Adopt the shared allocation into the local slot (no copy) so
         // target-damage recomposites can restore without rasterizing.
         slot.pixels = reserveLocal() ? std::move(shared) : nullptr;
-        slot.key = newKeys[i];
+        slot.key = key;
         slot.hasKey = true;
         continue;
       }
     }
-    toRasterize.push_back({i, reserveLocal()});
+    toRasterize.push_back({i, key, reserveLocal()});
   }
 
   // Restore unchanged-but-uncached-in-target cells with row blits.
@@ -237,10 +223,9 @@ PipelineStats CellRenderPipeline::render(const SceneModel& scene,
     stats.pixelsBlitted += static_cast<std::uint64_t>(slot.clip.areaPx());
   }
 
-  // Rasterize dirty cells. Cells own disjoint rects (checked at layout
-  // reset and asserted here), so concurrent sub-canvas writes never touch
-  // the same pixel and output is bit-identical for any thread count.
-  assert(layoutDisjoint_);
+  // Rasterize dirty cells. Cells own disjoint clips (checked at layout
+  // reset), so concurrent sub-canvas writes never touch the same pixel and
+  // output is bit-identical for any thread count.
   std::vector<std::size_t> segments(toRasterize.size(), 0);
   // Chunk-granular cancellation: the unit of abandonment is one cell. A
   // cell either rasterizes completely (key + cached pixels updated) or
@@ -266,12 +251,11 @@ PipelineStats CellRenderPipeline::render(const SceneModel& scene,
                            slot.clip.h},
                      0, 0);
       if (options_.sharedCache != nullptr) {
-        options_.sharedCache->insert(newKeys[work.cell], snap,
-                                     sharedClientId_);
+        options_.sharedCache->insert(work.key, snap, sharedClientId_);
       }
       if (work.cachePixels) slot.pixels = std::move(snap);
     }
-    slot.key = newKeys[work.cell];
+    slot.key = work.key;
     slot.hasKey = true;
     rasterized[w] = 1;
   };
@@ -300,7 +284,6 @@ PipelineStats CellRenderPipeline::render(const SceneModel& scene,
   metrics.pixelsRasterized.add(stats.pixelsRasterized);
   metrics.pixelsBlitted.add(stats.pixelsBlitted);
 
-  keys_ = std::move(newKeys);
   targetFb_ = canvas.fb;
   targetRegion_ = canvas.region;
   eye_ = eye;

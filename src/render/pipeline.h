@@ -1,10 +1,10 @@
-// pipeline.h — dirty-cell-aware, cell-parallel scene rendering.
+// pipeline.h — the scene renderer: dirty-cell-aware and cell-parallel.
 //
-// renderScene (scene.h) redraws every cell of every eye on every frame.
-// The interactive loop of the paper never needs that: the incremental
-// query engine knows exactly which cells' highlights changed, and the
-// wall's layout is static between edits. CellRenderPipeline closes the
-// loop on the render side:
+// The interactive loop of the paper never needs to redraw every cell of
+// every eye on every frame: the incremental query engine knows exactly
+// which cells' highlights changed, and the wall's layout is static
+// between edits. CellRenderPipeline is the one render path of the
+// library:
 //
 //   * per-cell framebuffer cache — each cell rasterizes into the target
 //     through a sub-canvas clipped to its own rect, keyed by a content
@@ -13,18 +13,19 @@
 //     its pixels are already in the (persistent) target — or restored
 //     with a row-wise blit from the cache after target damage;
 //   * cell-parallel rasterization — dirty cells rasterize concurrently
-//     over a ThreadPool. Cells own pairwise-disjoint rects (verified per
-//     layout; scenes with overlapping cells fall back to the serial
-//     legacy path), so concurrent cells never touch the same pixel and
-//     the output is bit-identical for any thread count — the same
-//     determinism contract the batch SOM trainer makes;
-//   * clipping semantics — a cell's pixels are clipped to its rect.
-//     Stereo parallax can shift a polyline horizontally past the cell
-//     boundary; the legacy renderer let those pixels spill into the
-//     wall background, the pipeline clips them at the cell edge (cells
+//     over a ThreadPool. Cells own pairwise-disjoint rects, so concurrent
+//     cells never touch the same pixel and the output is bit-identical
+//     for any thread count — the same determinism contract the batch SOM
+//     trainer makes. Layouts and cluster overviews are disjoint by
+//     construction; a scene whose cells overlap inside the canvas is
+//     refused (PipelineStats::refused), not drawn;
+//   * clipping semantics — a cell's pixels are clipped to its rect, so
+//     stereo parallax never shifts a polyline past the cell edge (cells
 //     own their pixels — the property that makes skip/blit compositing
-//     and race-free parallelism possible). renderScene keeps the old
-//     spill semantics for comparison.
+//     and race-free parallelism possible).
+//
+// A full-redraw reference renderer for tests and benches lives in
+// tests/support/reference_render.h; it is not part of the library.
 //
 // Metrics (util/metrics, prefix "render."): cells rasterized / blitted /
 // skipped, pixels rasterized / blitted — dumped by bench_render.
@@ -78,7 +79,9 @@ struct PipelineStats {
   std::uint64_t pixelsBlitted = 0;
   std::size_t segmentsDrawn = 0;
   bool fullRecomposite = false;  ///< background + every visible cell redone
-  bool overlapFallback = false;  ///< overlapping cells: legacy serial path
+  /// Cells overlap inside the canvas: nothing was drawn and the target
+  /// keeps its previous pixels. The next disjoint scene recomposites.
+  bool refused = false;
   /// A cancellation stopped the render before every dirty cell was
   /// rasterized. The target is incomplete; the pipeline has already
   /// self-invalidated, so the next render() recomposites (blitting cells
@@ -109,8 +112,7 @@ class CellRenderPipeline {
   /// (optional) is polled per cell in the rasterize phase: an abandoned
   /// render returns stats.aborted=true with the pipeline self-invalidated
   /// (cells that finished keep their cached pixels and keys; abandoned
-  /// cells stay dirty and redo on the next render). The legacy overlap
-  /// fallback path is all-or-nothing and ignores `cancel`.
+  /// cells stay dirty and redo on the next render).
   PipelineStats render(const SceneModel& scene,
                        const traj::TrajectoryDataset& dataset,
                        Canvas canvas, Eye eye,
@@ -119,10 +121,6 @@ class CellRenderPipeline {
   /// Marks the target's pixels unreliable; the next render recomposites
   /// every visible cell (blitting unchanged ones from the cache).
   void invalidate() { targetValid_ = false; }
-
-  /// Per-cell content keys of the last rendered scene (index-aligned with
-  /// scene.cells). Exposed for the delta-broadcast master and tests.
-  const std::vector<std::uint64_t>& cellKeys() const { return keys_; }
 
   const PipelineOptions& options() const { return options_; }
   std::size_t cachedBytes() const { return cachedBytes_; }
@@ -140,11 +138,10 @@ class CellRenderPipeline {
   };
 
   void resetLayout(const SceneModel& scene, Canvas canvas);
-  bool cellsDisjoint(const SceneModel& scene) const;
+  bool clipsDisjoint() const;
 
   PipelineOptions options_;
   std::vector<CellSlot> slots_;
-  std::vector<std::uint64_t> keys_;
   // Target identity: recomposite when any of these change.
   Framebuffer* targetFb_ = nullptr;
   RectI targetRegion_;

@@ -1,11 +1,12 @@
-// scene.h — the renderable scene model and the scene renderer.
+// scene.h — the renderable scene model, the cell renderer and cell keys.
 //
 // A SceneModel is the complete, serializable description of one frame of
 // the application: which trajectory sits in which small-multiple cell,
 // each cell's group background, per-segment highlight state from the
 // query engine, the temporal window and the stereo settings. The cluster
 // master broadcasts this model; each render node draws it through a
-// Canvas restricted to its own tile (sort-first).
+// Canvas restricted to its own tile (sort-first), with a
+// CellRenderPipeline (render/pipeline.h) that calls renderCell per cell.
 #pragma once
 
 #include <cstdint>
@@ -53,24 +54,15 @@ struct SceneModel {
   Color wallBackground = colors::kBlack;
 };
 
-/// Per-frame render statistics (for the benchmark harness).
+/// Render statistics, accumulated per cell by renderCell.
 struct RenderStats {
   std::size_t cellsDrawn = 0;
   std::size_t cellsCulled = 0;
   std::size_t segmentsDrawn = 0;
 };
 
-/// Renders the scene for one eye through the given canvas. Only cells
-/// intersecting canvas.region are drawn (sort-first culling); the canvas
-/// background is cleared first with scene.wallBackground.
-///
-/// The dataset provides trajectory geometry; scene cells reference it by
-/// index. Returns render statistics.
-RenderStats renderScene(const SceneModel& scene,
-                        const traj::TrajectoryDataset& dataset,
-                        Canvas canvas, Eye eye);
-
-/// Renders one cell (no background clear); exposed for unit tests.
+/// Renders one cell (no background clear). The dataset provides
+/// trajectory geometry; the cell references it by index.
 void renderCell(const SceneModel& scene, const CellView& cell,
                 const traj::TrajectoryDataset& dataset, Canvas canvas,
                 Eye eye, RenderStats& stats);

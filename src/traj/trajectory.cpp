@@ -95,15 +95,6 @@ void Trajectory::assignPoints(const std::vector<TrajPoint>& points) {
   size_ = points.size();
 }
 
-std::vector<TrajPoint> Trajectory::pointsAoS() const {
-  std::vector<TrajPoint> out;
-  out.reserve(size_);
-  for (std::size_t i = 0; i < size_; ++i) {
-    out.push_back({{xs()[i], ys()[i]}, ts()[i]});
-  }
-  return out;
-}
-
 float Trajectory::pathLength() const {
   const PointsView v = view();
   float len = 0.0f;

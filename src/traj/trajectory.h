@@ -12,8 +12,7 @@
 // multiple of kPointBlock points. Kernels (query point-in-brush, raster
 // span ops) consume the channels through PointsView — the one sanctioned
 // way to see points — so SIMD lanes read dense same-channel floats instead
-// of striding over interleaved {x,y,t} records. The legacy AoS accessor
-// pointsAoS() materializes a copy and is deprecated (DESIGN.md §12).
+// of striding over interleaved {x,y,t} records (DESIGN.md §12).
 #pragma once
 
 #include <cstddef>
@@ -138,11 +137,6 @@ class Trajectory {
   /// Replaces all samples.
   void assignPoints(const std::vector<TrajPoint>& points);
   void clearPoints() { size_ = 0; }
-
-  /// DEPRECATED AoS escape hatch: materializes a copy of the samples as
-  /// interleaved records. O(n) per call — migrate to view().
-  [[deprecated("AoS accessor; use view() — see DESIGN.md §12")]]
-  std::vector<TrajPoint> pointsAoS() const;
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }

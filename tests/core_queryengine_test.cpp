@@ -191,22 +191,23 @@ TEST_F(QueryEngineTest, LastInvalidatedReportsDamagedRows) {
       canvas_.addStroke(BrushStroke{0, {-20.0f, 0.0f}, 10.0f}));
   engine_.evaluate();
   // First pass touches everything.
-  EXPECT_EQ(engine_.lastInvalidated().size(), ds_.size());
+  EXPECT_EQ(engine_.metrics().lastPassInvalidated, ds_.size());
 
-  // A localized dab re-passes only the overlapping subset, and
-  // lastInvalidated names exactly those rows.
+  // A localized dab re-passes only the overlapping subset.
   const Vec2 dabPos = ds_[0].view().pos(ds_[0].size() / 2);
   engine_.invalidateRegion(canvas_.addStroke(BrushStroke{1, dabPos, 3.0f}));
   engine_.evaluate();
-  const auto& damaged = engine_.lastInvalidated();
-  EXPECT_EQ(damaged.size(), engine_.metrics().lastPassInvalidated);
-  ASSERT_FALSE(damaged.empty());
-  EXPECT_LT(damaged.size(), ds_.size());
-  for (const std::size_t row : damaged) EXPECT_LT(row, ds_.size());
+  const std::uint64_t damaged = engine_.metrics().lastPassInvalidated;
+  EXPECT_GT(damaged, 0u);
+  EXPECT_LT(damaged, ds_.size());
+  EXPECT_EQ(engine_.metrics().lastPassReused, ds_.size() - damaged);
 
-  // A cached pass damages nothing.
+  // A cached pass damages nothing and publishes no new generation.
+  const std::uint64_t generation = engine_.generation();
+  const std::uint64_t cached = engine_.metrics().cachedPasses;
   engine_.evaluate();
-  EXPECT_TRUE(engine_.lastInvalidated().empty());
+  EXPECT_EQ(engine_.metrics().cachedPasses, cached + 1);
+  EXPECT_EQ(engine_.generation(), generation);
 
   // A temporal-only pass reports no spatial damage either; renderers must
   // fall back to scene content hashes for those (every cell's pixels may
@@ -216,7 +217,7 @@ TEST_F(QueryEngineTest, LastInvalidatedReportsDamagedRows) {
   engine_.setParams(p);
   engine_.evaluate();
   EXPECT_EQ(engine_.metrics().temporalOnlyPasses, 1u);
-  EXPECT_TRUE(engine_.lastInvalidated().empty());
+  EXPECT_EQ(engine_.metrics().lastPassInvalidated, 0u);
 }
 
 TEST_F(QueryEngineTest, CancelledPassAbandonsWithoutTearingAndResumes) {

@@ -2,12 +2,16 @@
 //  * the paper's verdicts are robust across synthesis seeds (and vanish
 //    on null data for every seed);
 //  * bezel avoidance holds for randomized layout grids on randomized wall
-//    geometries;
+//    geometries, and no two cells of any such layout overlap;
+//  * the scenes the app builds — session layouts at every paper preset and
+//    cluster-overview grids — have pairwise-disjoint cells, the condition
+//    under which CellRenderPipeline draws a scene instead of refusing it;
 //  * a keymap-driven session reaches the same state as the equivalent
 //    event script;
 //  * query results are invariant to evaluation order and parallelism.
 #include <gtest/gtest.h>
 
+#include "core/clusterscene.h"
 #include "core/hypothesis.h"
 #include "core/layout.h"
 #include "core/session.h"
@@ -82,14 +86,60 @@ TEST(LayoutFuzzTest, BezelInvariantOnRandomGridsAndWalls) {
         core::SmallMultipleLayout::compute(wallSpec, config);
     ASSERT_EQ(layout.cellCount(),
               static_cast<std::size_t>(config.cellCount()));
+    EXPECT_TRUE(layout.noOverlaps()) << "iter " << iter;
     // Cells can be degenerate when the requested grid is denser than the
-    // pixels allow; the invariants apply whenever cells are drawable.
+    // pixels allow; bezel avoidance applies whenever cells are drawable.
     if (layout.minCellSize() >= 1) {
       EXPECT_TRUE(layout.allCellsAvoidBezels(wallSpec))
           << "iter " << iter << " wall " << wallSpec.cols() << "x"
           << wallSpec.rows() << " grid " << config.cellsX << "x"
           << config.cellsY;
-      EXPECT_TRUE(layout.noOverlaps()) << "iter " << iter;
+    }
+  }
+}
+
+/// True iff no two cells of the scene share a pixel.
+bool cellsDisjoint(const render::SceneModel& scene) {
+  for (std::size_t i = 0; i < scene.cells.size(); ++i) {
+    for (std::size_t j = i + 1; j < scene.cells.size(); ++j) {
+      if (scene.cells[i].rect.intersects(scene.cells[j].rect)) return false;
+    }
+  }
+  return true;
+}
+
+TEST(SceneDisjointTest, SessionScenesAtEveryPaperPreset) {
+  traj::AntSimulator sim({}, 31);
+  traj::DatasetSpec spec;
+  spec.count = 500;  // fills every cell of the densest preset
+  const auto ds = sim.generate(spec);
+  core::Session app(
+      core::SharedContext::create(ds, wall::cyberCommonsUsedRegion()));
+  const auto presets = core::paperLayoutPresets();
+  for (std::size_t p = 0; p < presets.size(); ++p) {
+    app.apply(ui::LayoutSwitchEvent{static_cast<std::uint8_t>(p)});
+    const render::SceneModel scene = app.buildScene();
+    EXPECT_EQ(scene.cells.size(),
+              static_cast<std::size_t>(presets[p].cellCount()));
+    EXPECT_TRUE(cellsDisjoint(scene)) << "preset " << p;
+  }
+}
+
+TEST(SceneDisjointTest, ClusterGridsOfOneToSixHundredCells) {
+  wall::TileSpec small;
+  small.pxW = 320;
+  small.pxH = 180;
+  small.activeWmm = 1150.0f;
+  small.activeHmm = 647.0f;
+  for (const wall::WallSpec& wallSpec :
+       {wall::cyberCommonsUsedRegion(), wall::WallSpec(small, 6, 2)}) {
+    for (std::size_t n = 1; n <= 600; ++n) {
+      const core::LayoutConfig config = core::clusterGridFor(n, wallSpec);
+      ASSERT_GE(static_cast<std::size_t>(config.cellCount()), n);
+      EXPECT_TRUE(
+          core::SmallMultipleLayout::compute(wallSpec, config).noOverlaps())
+          << n << " cells on " << wallSpec.totalPxW() << "x"
+          << wallSpec.totalPxH();
     }
   }
 }

@@ -1,11 +1,14 @@
 // Tests for render/pipeline.h — the dirty-cell incremental renderer: cache
-// keying, skip/blit/rasterize classification, cache-budget behaviour, the
-// overlap fallback, and the determinism contracts (parallel == serial,
+// keying, skip/blit/rasterize classification, cache-budget behaviour,
+// overlap refusal, and the determinism contracts (parallel == serial,
 // cached == cold) that the cluster renderer and benches rely on.
 #include "render/pipeline.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "reference_render.h"
 #include "traj/synth.h"
 #include "util/cancel.h"
 #include "util/threadpool.h"
@@ -59,12 +62,13 @@ Framebuffer coldRender(const SceneModel& scene,
 TEST(PipelineTest, ColdMatchesLegacyWhenNothingSpills) {
   const auto ds = makeDataset();
   SceneModel scene = makeScene(ds);
-  // Centre eye: no parallax shift, so the legacy renderer's output stays
-  // inside each cell's rect and the pipeline's cell clipping is invisible.
-  Framebuffer legacy(240, 80);
-  renderScene(scene, ds, Canvas::whole(legacy), Eye::kCenter);
+  // Centre eye: no parallax shift, so the reference renderer's output
+  // stays inside each cell's rect and the pipeline's cell clipping is
+  // invisible.
+  Framebuffer reference(240, 80);
+  renderScene(scene, ds, Canvas::whole(reference), Eye::kCenter);
   const Framebuffer pipelined = coldRender(scene, ds, 240, 80, Eye::kCenter);
-  EXPECT_EQ(pipelined.contentHash(), legacy.contentHash());
+  EXPECT_EQ(pipelined.contentHash(), reference.contentHash());
 }
 
 TEST(PipelineTest, SecondIdenticalFrameSkipsEverything) {
@@ -222,25 +226,44 @@ TEST(PipelineTest, TinyBudgetCachesSomeCellsAndStaysCorrect) {
   EXPECT_EQ(fb.contentHash(), hash);
 }
 
-TEST(PipelineTest, OverlappingCellsFallBackToLegacy) {
+TEST(PipelineTest, OverlappingCellsAreRefused) {
   const auto ds = makeDataset();
-  SceneModel scene = makeScene(ds, 2, 1, 60, 40);
-  scene.cells[1].rect = {30, 0, 60, 40};  // overlaps cell 0
-  Framebuffer legacy(120, 40);
-  renderScene(scene, ds, Canvas::whole(legacy), Eye::kLeft);
+  const SceneModel disjoint = makeScene(ds, 2, 1, 60, 40);
+  SceneModel overlapping = disjoint;
+  overlapping.cells[1].rect = {30, 0, 60, 40};  // overlaps cell 0
+  SceneModel next = disjoint;
+  dabCell(next, 1, 0);
+  const std::uint64_t want =
+      coldRender(next, ds, 120, 40, Eye::kLeft).contentHash();
 
-  Framebuffer fb(120, 40);
-  CellRenderPipeline pipeline;
-  const PipelineStats stats =
-      pipeline.render(scene, ds, Canvas::whole(fb), Eye::kLeft);
-  EXPECT_TRUE(stats.overlapFallback);
-  EXPECT_EQ(fb.contentHash(), legacy.contentHash());
+  for (unsigned threads : {0u, 4u, 8u}) {
+    std::unique_ptr<ThreadPool> pool;
+    PipelineOptions options;
+    if (threads > 0) {
+      pool = std::make_unique<ThreadPool>(threads);
+      options.pool = pool.get();
+    }
+    Framebuffer fb(120, 40);
+    CellRenderPipeline pipeline(options);
+    pipeline.render(disjoint, ds, Canvas::whole(fb), Eye::kLeft);
+    const std::uint64_t before = fb.contentHash();
 
-  // Every frame goes through the fallback while the overlap persists.
-  const PipelineStats again =
-      pipeline.render(scene, ds, Canvas::whole(fb), Eye::kLeft);
-  EXPECT_TRUE(again.overlapFallback);
-  EXPECT_EQ(fb.contentHash(), legacy.contentHash());
+    // Every frame is refused while the overlap persists: nothing is drawn.
+    for (int frame = 0; frame < 2; ++frame) {
+      const PipelineStats stats =
+          pipeline.render(overlapping, ds, Canvas::whole(fb), Eye::kLeft);
+      EXPECT_TRUE(stats.refused) << threads << " threads";
+      EXPECT_EQ(stats.cellsDrawn(), 0u) << threads << " threads";
+      EXPECT_EQ(fb.contentHash(), before) << threads << " threads";
+    }
+
+    // The next disjoint scene recomposites to the cold render.
+    const PipelineStats stats =
+        pipeline.render(next, ds, Canvas::whole(fb), Eye::kLeft);
+    EXPECT_FALSE(stats.refused) << threads << " threads";
+    EXPECT_TRUE(stats.fullRecomposite) << threads << " threads";
+    EXPECT_EQ(fb.contentHash(), want) << threads << " threads";
+  }
 }
 
 TEST(PipelineTest, ZeroAreaAndOffTargetCellsAreCulled) {
@@ -254,14 +277,18 @@ TEST(PipelineTest, ZeroAreaAndOffTargetCellsAreCulled) {
   offTarget.trajectoryIndex = 1;
   offTarget.rect = {500, 500, 60, 40};
   scene.cells.push_back(offTarget);
+  // Overlaps offTarget, but only outside the canvas: no pixel is shared
+  // here, so the scene is drawn, not refused.
+  offTarget.rect = {520, 500, 60, 40};
+  scene.cells.push_back(offTarget);
 
   Framebuffer fb(120, 40);
   CellRenderPipeline pipeline;
   const PipelineStats stats =
       pipeline.render(scene, ds, Canvas::whole(fb), Eye::kLeft);
-  EXPECT_EQ(stats.cellsCulled, 2u);
+  EXPECT_FALSE(stats.refused);
+  EXPECT_EQ(stats.cellsCulled, 3u);
   EXPECT_EQ(stats.cellsRasterized, 2u);
-  EXPECT_EQ(pipeline.cellKeys().size(), scene.cells.size());
 }
 
 TEST(PipelineTest, TilePartitionMatchesFullRender) {
@@ -277,6 +304,17 @@ TEST(PipelineTest, TilePartitionMatchesFullRender) {
     for (int x = 0; x < 120; ++x) {
       ASSERT_EQ(tile.at(x, y), full.at(120 + x, y))
           << "tile pixel (" << x << "," << y << ")";
+    }
+  }
+
+  // The same pipeline panned to the left tile: cells culled a frame ago
+  // come into view and the straddling cell's clip shrinks, so no key or
+  // pixels cached for the old region may be reused.
+  pipeline.render(scene, ds, Canvas{&tile, {0, 0, 120, 80}, {}}, Eye::kLeft);
+  for (int y = 0; y < 80; ++y) {
+    for (int x = 0; x < 120; ++x) {
+      ASSERT_EQ(tile.at(x, y), full.at(x, y))
+          << "panned tile pixel (" << x << "," << y << ")";
     }
   }
 }
@@ -295,27 +333,6 @@ TEST(PipelineTest, LayoutChangeForcesRecomposite) {
   EXPECT_TRUE(stats.fullRecomposite);
   EXPECT_EQ(fb.contentHash(),
             coldRender(scene, ds, 240, 80, Eye::kLeft).contentHash());
-}
-
-TEST(PipelineTest, CellKeysTrackContent) {
-  const auto ds = makeDataset();
-  SceneModel scene = makeScene(ds);
-  Framebuffer fb(240, 80);
-  CellRenderPipeline pipeline;
-  pipeline.render(scene, ds, Canvas::whole(fb), Eye::kLeft);
-  const std::vector<std::uint64_t> before = pipeline.cellKeys();
-
-  dabCell(scene, 2, 0);
-  pipeline.render(scene, ds, Canvas::whole(fb), Eye::kLeft);
-  const std::vector<std::uint64_t>& after = pipeline.cellKeys();
-  ASSERT_EQ(before.size(), after.size());
-  for (std::size_t i = 0; i < before.size(); ++i) {
-    if (i == 2) {
-      EXPECT_NE(before[i], after[i]);
-    } else {
-      EXPECT_EQ(before[i], after[i]);
-    }
-  }
 }
 
 TEST(PipelineTest, CancelledRenderAbortsAndNextFrameIsBitIdentical) {

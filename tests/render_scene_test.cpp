@@ -1,5 +1,7 @@
-// Tests for render/scene.h — cell rendering, culling, and the sort-first
-// partition property (tile renders == full render restricted to tile).
+// Tests for render/scene.h — cell rendering and content keys — through
+// the full-redraw reference renderer (tests/support): culling, and the
+// sort-first partition property (tile renders == full render restricted
+// to tile).
 #include "render/scene.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "reference_render.h"
 #include "traj/synth.h"
 #include "util/rng.h"
 

@@ -294,8 +294,14 @@ TEST(ThickLineKernelFuzzTest, AllVariantsBitIdenticalToScalar) {
 
 // ---- PointsView / SoA round-trip ----------------------------------------
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+/// An AoS copy of a trajectory's samples, read back through view().
+std::vector<traj::TrajPoint> aosCopy(const traj::Trajectory& traj) {
+  const traj::PointsView v = traj.view();
+  std::vector<traj::TrajPoint> out;
+  out.reserve(v.count);
+  for (std::size_t i = 0; i < v.count; ++i) out.push_back(v[i]);
+  return out;
+}
 
 TEST(PointsViewRoundTripTest, SoAStorageMatchesLegacyAoS) {
   Rng rng(0x50aULL);
@@ -329,18 +335,16 @@ TEST(PointsViewRoundTripTest, SoAStorageMatchesLegacyAoS) {
       EXPECT_EQ(traj.back(), aos.back());
     }
 
-    // The deprecated AoS escape hatch round-trips exactly.
-    EXPECT_EQ(traj.pointsAoS(), aos);
+    // An AoS copy read back through the view round-trips exactly.
+    EXPECT_EQ(aosCopy(traj), aos);
 
     // appendPoint builds the same trajectory as bulk construction.
     traj::Trajectory incremental;
     for (const auto& p : aos) incremental.appendPoint(p);
-    EXPECT_EQ(incremental.pointsAoS(), aos);
+    EXPECT_EQ(aosCopy(incremental), aos);
     EXPECT_EQ(incremental.size(), n);
   }
 }
-
-#pragma GCC diagnostic pop
 
 TEST(PointsViewTest, ChannelsAreContiguousAndDisjoint) {
   traj::Trajectory t;
