@@ -17,8 +17,14 @@
 //   time_to_exact  begin() + refineStep() loop to convergence + final
 //                  scene + raster. The printed curve samples (ms,
 //                  coverage) after every step.
+//   shard_crc32c   io::crc32c, which every shard-cache miss runs over its
+//                  payload, against a byte-wise table loop local to this
+//                  bench on one seeded 256 KiB buffer. Every value test
+//                  passes if the dispatch silently falls back to the table;
+//                  the speedup_vs_bytewise gate does not.
 //
 // Acceptance checks (non-zero exit on failure):
+//   - checksum identity: io::crc32c equals the byte-wise loop,
 //   - exactness: converged estimates equal exactReference bit-for-bit,
 //     for refinement chunk sizes 1 / 3 / unbounded,
 //   - render bit-identity: the converged progressive scene rasters to
@@ -31,6 +37,7 @@
 // scripts/perf_smoke.py against bench/baselines/
 // BENCH_progressive_smoke.json). --smoke shrinks the store for CI;
 // --out=PATH overrides the report path.
+#include <array>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -41,6 +48,8 @@
 #include "core/progressive.h"
 #include "render/pipeline.h"
 #include "render/sharedcache.h"
+#include "util/io.h"
+#include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/threadpool.h"
 
@@ -74,6 +83,78 @@ std::uint64_t rasterHash(const core::ClusterOverviewScene& overview,
   pipe.render(overview.scene, overview.averagesDataset,
               render::Canvas::whole(fb), render::Eye::kLeft);
   return fb.contentHash();
+}
+
+/// Byte-wise CRC32C table loop (reflected polynomial 0x82F63B78): the
+/// fixed base of the shard_crc32c ratio, whatever io::crc32c dispatches to.
+std::uint32_t bytewiseCrc32c(const unsigned char* p, std::size_t n,
+                             std::uint32_t crc) {
+  static const std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) ? 0x82F63B78u ^ (c >> 1) : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t c = ~crc;
+  for (std::size_t i = 0; i < n; ++i) {
+    c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  }
+  return ~c;
+}
+
+/// Times io::crc32c and the byte-wise loop over a seeded 256 KiB buffer (a
+/// shard payload's size). Each rep chains kPasses checksums through the
+/// running value, so no pass can be skipped and both chains must end on
+/// the same value. Returns false when the two ever disagree.
+bool shardCrcScenario(bench::BenchReport& report) {
+  constexpr std::size_t kBytes = std::size_t{256} << 10;
+  constexpr int kReps = 9;
+  constexpr int kPasses = 8;
+  Rng rng(0xC3C32ULL);
+  std::vector<unsigned char> buf(kBytes);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.next());
+
+  std::vector<double> dispatchedMs, bytewiseMs;
+  std::uint32_t dispatched = 0, bytewise = 0;
+  for (int r = 0; r < kReps; ++r) {
+    Stopwatch w;
+    for (int p = 0; p < kPasses; ++p) {
+      dispatched = io::crc32c(buf.data(), kBytes, dispatched);
+    }
+    dispatchedMs.push_back(w.elapsedMillis() / kPasses);
+    Stopwatch wb;
+    for (int p = 0; p < kPasses; ++p) {
+      bytewise = bytewiseCrc32c(buf.data(), kBytes, bytewise);
+    }
+    bytewiseMs.push_back(wb.elapsedMillis() / kPasses);
+  }
+  const bool identical =
+      dispatched == bytewise &&
+      io::crc32c(buf.data(), kBytes) == bytewiseCrc32c(buf.data(), kBytes, 0);
+  const double speedup =
+      bench::median(dispatchedMs) > 0.0
+          ? bench::median(bytewiseMs) / bench::median(dispatchedMs)
+          : 0.0;
+
+  auto& s = report.add("shard_crc32c", dispatchedMs);
+  s.counters["bytes"] = static_cast<double>(kBytes);
+  s.counters["bytewise_median_ms"] = bench::median(bytewiseMs);
+  s.counters["speedup_vs_bytewise"] = speedup;
+  s.counters["bit_identical"] = identical ? 1.0 : 0.0;
+  std::printf("shard crc32c: %.4f ms per 256 KiB (byte-wise %.4f ms) = "
+              "%.1fx, values %s\n",
+              bench::median(dispatchedMs), bench::median(bytewiseMs), speedup,
+              identical ? "identical" : "DIFFER");
+  if (!identical) {
+    std::fprintf(stderr,
+                 "FAIL: io::crc32c differs from the byte-wise loop\n");
+  }
+  return identical;
 }
 
 int run(const Options& opt) {
@@ -238,6 +319,9 @@ int run(const Options& opt) {
       }
     }
   }
+
+  // --- shard checksum: dispatched vs byte-wise ------------------------------
+  if (!shardCrcScenario(report)) ok = false;
 
   // --- report ----------------------------------------------------------------
   std::printf("%-16s %10s %10s\n", "scenario", "median ms", "p95 ms");

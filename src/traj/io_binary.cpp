@@ -34,6 +34,13 @@ class Reader {
   bool u8(std::uint8_t& v) { return raw(&v, sizeof v); }
   bool u32(std::uint32_t& v) { return raw(&v, sizeof v); }
   bool f32(float& v) { return raw(&v, sizeof v); }
+  /// The next `n` bytes, consumed; nullptr when fewer remain.
+  const char* take(std::size_t n) {
+    if (n > bytes_.size() - cursor_) return nullptr;
+    const char* p = bytes_.data() + cursor_;
+    cursor_ += n;
+    return p;
+  }
   bool atEnd() const { return cursor_ == bytes_.size(); }
   std::size_t remaining() const { return bytes_.size() - cursor_; }
 
@@ -110,13 +117,19 @@ std::optional<TrajectoryDataset> fromBinary(std::string_view bytes) {
     meta.side = static_cast<CaptureSide>(side);
     meta.direction = static_cast<JourneyDirection>(dir);
     meta.seed = static_cast<SeedState>(seed);
-    std::vector<TrajPoint> pts(points);
-    for (TrajPoint& p : pts) {
-      if (!r.f32(p.t) || !r.f32(p.pos.x) || !r.f32(p.pos.y)) {
-        return std::nullopt;
-      }
+    // The count was bounded above, so the packed (t, x, y) records are all
+    // there: write them straight into the SoA channels in one pass.
+    const char* src = r.take(points * kPointBytes);
+    if (src == nullptr) return std::nullopt;
+    Trajectory traj;
+    traj.meta() = meta;
+    const Trajectory::Channels c = traj.resizePoints(points);
+    for (std::size_t p = 0; p < points; ++p, src += kPointBytes) {
+      std::memcpy(&c.t[p], src, sizeof(float));
+      std::memcpy(&c.x[p], src + sizeof(float), sizeof(float));
+      std::memcpy(&c.y[p], src + 2 * sizeof(float), sizeof(float));
     }
-    ds.add(Trajectory(meta, std::move(pts)));
+    ds.add(std::move(traj));
   }
   if (!r.atEnd()) return std::nullopt;  // trailing garbage
   return ds;

@@ -334,6 +334,11 @@ struct ShardStore::Impl {
   Counter* ioErrors = nullptr;
   Gauge* residentGauge = nullptr;
 
+  /// A closed store's cache leaves the process-wide gauge with it.
+  ~Impl() {
+    if (residentGauge != nullptr) residentGauge->sub(bytesResident);
+  }
+
   void evictDownToBudget() {
     while (bytesResident > options.cacheBudgetBytes && lru.size() > 1) {
       const std::size_t victim = lru.back();

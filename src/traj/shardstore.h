@@ -60,7 +60,9 @@
 // cacheBudgetBytes (a single shard larger than the budget stays resident
 // while referenced — the budget bounds what the *cache* retains).
 // Hit/miss/eviction/bytes-resident counters are surfaced through the
-// util/metrics registry under "<metricsPrefix>.*".
+// util/metrics registry under "<metricsPrefix>.*". The bytes-resident
+// gauge counts open stores only: closing a store releases its cache's
+// bytes.
 #pragma once
 
 #include <cstdint>

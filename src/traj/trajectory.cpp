@@ -82,17 +82,19 @@ void Trajectory::appendPoint(Vec2 pos, float t) {
 }
 
 void Trajectory::assignPoints(const std::vector<TrajPoint>& points) {
-  size_ = 0;
-  reservePoints(points.size());
-  float* px = xs();
-  float* py = ys();
-  float* pt = ts();
-  for (const TrajPoint& p : points) {
-    *px++ = p.pos.x;
-    *py++ = p.pos.y;
-    *pt++ = p.t;
+  const Channels c = resizePoints(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    c.x[i] = points[i].pos.x;
+    c.y[i] = points[i].pos.y;
+    c.t[i] = points[i].t;
   }
-  size_ = points.size();
+}
+
+Trajectory::Channels Trajectory::resizePoints(std::size_t n) {
+  size_ = 0;  // nothing to preserve when growing
+  reservePoints(n);
+  size_ = n;
+  return {xs(), ys(), ts()};
 }
 
 float Trajectory::pathLength() const {

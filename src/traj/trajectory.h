@@ -138,6 +138,18 @@ class Trajectory {
   void assignPoints(const std::vector<TrajPoint>& points);
   void clearPoints() { size_ = 0; }
 
+  /// Writable x/y/t channels returned by resizePoints().
+  struct Channels {
+    float* x = nullptr;
+    float* y = nullptr;
+    float* t = nullptr;
+  };
+  /// Replaces all samples with `n` samples whose values the caller writes
+  /// through the returned channels, each sample once (a decoder fills
+  /// them straight from its input). Values are unspecified until written;
+  /// the channels are valid until the next mutation of this trajectory.
+  Channels resizePoints(std::size_t n);
+
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   TrajPoint front() const { return view()[0]; }

@@ -10,7 +10,11 @@
 // Three building blocks live here because every persistent format in the
 // repo (shard stores, snapshots) needs all three:
 //   * crc32c() — Castagnoli CRC over payloads and footers; a single bit
-//     flip anywhere in a checksummed region is always detected.
+//     flip anywhere in a checksummed region is always detected. It runs
+//     SSE4.2's crc32 instruction eight bytes at a time when util/simd's
+//     active ISA is not scalar and the CPU has SSE4.2, else a byte-wise
+//     table; both return the same value for every input, so stored
+//     checksums do not depend on the machine or on SVQ_FORCE_SCALAR.
 //   * atomicWriteFile()/atomicPublish() — write-temp → fsync → rename
 //     discipline, so a crash mid-write can never clobber the previous
 //     good file or publish a half-written one.

@@ -175,6 +175,53 @@ TEST_F(ShardStoreTest, ClearCacheDropsResidencyButKeepsCounters) {
   EXPECT_GT(store->cacheStats().peakBytesResident, 0u);
 }
 
+TEST_F(ShardStoreTest, ClosedStoreReleasesItsResidentBytes) {
+  const TrajectoryDataset ds = sampleDataset(30);
+  ShardStoreOptions options;
+  options.metricsPrefix = "shardtest.close";
+  const std::string path = makeStore(ds, 10, "svq_shard_close.svqs");
+
+  // Open, read every shard, close — three times over one file. The
+  // process-wide gauge must count only the open store's cache.
+  std::uint64_t oneStore = 0;
+  for (int round = 0; round < 3; ++round) {
+    auto store = ShardStore::open(path, options);
+    ASSERT_TRUE(store.has_value());
+    EXPECT_EQ(store->cacheStats().bytesResident, 0u) << "round " << round;
+    for (std::size_t i = 0; i < store->shardCount(); ++i) store->shard(i);
+    const ShardCacheStats stats = store->cacheStats();
+    if (round == 0) oneStore = stats.bytesResident;
+    ASSERT_GT(oneStore, 0u);
+    EXPECT_EQ(stats.bytesResident, oneStore) << "round " << round;
+    EXPECT_EQ(stats.peakBytesResident, oneStore) << "round " << round;
+  }
+
+  {
+    auto a = ShardStore::open(path, options);
+    ASSERT_TRUE(a.has_value());
+    a->shard(0);
+    const std::uint64_t shard0 = a->cacheStats().bytesResident;
+    ASSERT_GT(shard0, 0u);
+    // The moved-from store holds no bytes: destroying it releases none.
+    ShardStore b(std::move(*a));
+    a.reset();
+    EXPECT_EQ(b.cacheStats().bytesResident, shard0);
+
+    auto c = ShardStore::open(path, options);
+    ASSERT_TRUE(c.has_value());
+    c->shard(1);
+    c->shard(2);
+    const std::uint64_t shards12 = c->cacheStats().bytesResident - shard0;
+    ASSERT_GT(shards12, 0u);
+    // Move-assignment closes b's old store, releasing shard 0's bytes.
+    b = std::move(*c);
+    EXPECT_EQ(b.cacheStats().bytesResident, shards12);
+  }
+  auto after = ShardStore::open(path, options);
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->cacheStats().bytesResident, 0u);
+}
+
 TEST_F(ShardStoreTest, EvictedShardStaysAliveWhileReferenced) {
   const TrajectoryDataset ds = sampleDataset(30);
   ShardStoreOptions options;

@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "util/rng.h"
+
 namespace svq::io {
 namespace {
 
@@ -44,6 +46,74 @@ TEST(Crc32cTest, IncrementalEqualsOneShot) {
     EXPECT_EQ(crc32c(data.data() + split, data.size() - split, partial),
               crc32c(data))
         << "split " << split;
+  }
+}
+
+/// Bit-at-a-time CRC32C (reflected polynomial 0x82F63B78, no table): an
+/// independent reference that shares no code with either crc32c() path.
+std::uint32_t referenceCrc32c(const unsigned char* p, std::size_t n,
+                              std::uint32_t crc = 0) {
+  std::uint32_t c = ~crc;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) != 0 ? (c >> 1) ^ 0x82F63B78u : c >> 1;
+    }
+  }
+  return ~c;
+}
+
+/// `n` seeded random bytes.
+std::vector<unsigned char> randomBytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<unsigned char> bytes(n);
+  for (unsigned char& b : bytes) b = static_cast<unsigned char>(rng.next());
+  return bytes;
+}
+
+// Runs whichever path this process dispatched to: the SSE4.2 instruction
+// natively, the byte-wise table under SVQ_FORCE_SCALAR=1.
+TEST(Crc32cTest, MatchesBitwiseReferenceOnSeededBuffers) {
+  const std::vector<unsigned char> pool = randomBytes((1u << 20) + 64, 0xC5C32);
+  Rng rng(0x5EED32C);
+  // Every length 0-4096 at a random start offset 0-63, alternating a fresh
+  // checksum with a random running value.
+  for (std::size_t len = 0; len <= 4096; ++len) {
+    const std::size_t offset = rng.below(64);
+    const unsigned char* p = pool.data() + offset;
+    const std::uint32_t running =
+        len % 2 == 0 ? 0u : static_cast<std::uint32_t>(rng.next());
+    ASSERT_EQ(crc32c(p, len, running), referenceCrc32c(p, len, running))
+        << "length " << len << " offset " << offset << " running "
+        << running;
+  }
+  // A few shard-sized buffers, 256 KiB to 1 MiB.
+  constexpr std::size_t k256Ki = std::size_t{256} << 10;
+  for (const std::size_t len :
+       {k256Ki, k256Ki + 13, std::size_t{777777}, std::size_t{1} << 20}) {
+    const std::size_t offset = rng.below(64);
+    const unsigned char* p = pool.data() + offset;
+    const auto running = static_cast<std::uint32_t>(rng.next());
+    EXPECT_EQ(crc32c(p, len, 0), referenceCrc32c(p, len, 0))
+        << "length " << len << " offset " << offset;
+    EXPECT_EQ(crc32c(p, len, running), referenceCrc32c(p, len, running))
+        << "length " << len << " offset " << offset << " running " << running;
+  }
+}
+
+TEST(Crc32cTest, EverySplitJoinsThroughTheRunningValue) {
+  const std::vector<unsigned char> pool = randomBytes(256, 0x5B1173);
+  Rng rng(0xA11);
+  for (std::size_t len = 0; len <= 72; ++len) {
+    const unsigned char* p = pool.data() + rng.below(64);
+    const std::uint32_t start =
+        len % 2 == 0 ? 0u : static_cast<std::uint32_t>(rng.next());
+    const std::uint32_t whole = referenceCrc32c(p, len, start);
+    for (std::size_t split = 0; split <= len; ++split) {
+      const std::uint32_t head = crc32c(p, split, start);
+      EXPECT_EQ(crc32c(p + split, len - split, head), whole)
+          << "length " << len << " split " << split;
+    }
   }
 }
 
