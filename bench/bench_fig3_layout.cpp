@@ -7,8 +7,8 @@
 // 8196x1536 resolution for the headline numbers and at reduced
 // resolution for the per-preset sweep. A frame is a cold, serial
 // CellRenderPipeline render (a fresh pipeline per iteration): every
-// visible cell rasterized and copied into the pixel cache, as in the
-// app's first frame after a layout switch.
+// visible cell rasterized, as in the app's first frame after a layout
+// switch.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"

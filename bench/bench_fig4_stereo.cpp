@@ -44,16 +44,12 @@ void renderCellNTimes(benchmark::State& state, bool stereo) {
   cell.rect = {0, 0, 400, 400};
   scene.cells.push_back(cell);
   render::Framebuffer fb(400, 400);
-  // No pixel cache: the timing is tessellation + rasterization, without
-  // the per-cell snapshot a caching pipeline copies out after drawing.
-  render::PipelineOptions options;
-  options.cacheBudgetBytes = 0;
   for (auto _ : state) {
-    render::CellRenderPipeline left(options);
+    render::CellRenderPipeline left;
     auto stats = left.render(scene, ds, render::Canvas::whole(fb),
                              render::Eye::kLeft);
     if (stereo) {
-      render::CellRenderPipeline right(options);
+      render::CellRenderPipeline right;
       stats = right.render(scene, ds, render::Canvas::whole(fb),
                            render::Eye::kRight);
     }

@@ -5,8 +5,8 @@
 // brush, the wall repaints. The full-redraw reference renderer
 // (tests/support/reference_render.h) re-rasterizes all 432 cells every
 // frame; the CellRenderPipeline repaints only the cells whose
-// content hash changed (a dab touches a handful) and restores the rest
-// from the per-cell framebuffer cache. The cluster master ships only the
+// content hash changed (a dab touches a handful) and skips the rest, whose
+// pixels are still in the target. The cluster master ships only the
 // changed cells (delta broadcast) instead of the whole scene.
 //
 // Scenarios (all over the same pre-built frame sequence):
@@ -16,7 +16,9 @@
 //   pipeline_dab_serial   pipeline steady-state dab edits, no pool
 //   pipeline_dab_threads4 same, 4-thread pool — must be bit-identical
 //   pipeline_dab_threads8 same, 8-thread pool — must be bit-identical
-//   cache_restore         invalidate() + recomposite from the cell cache
+//   cache_restore         invalidate() + recomposite through a pipeline
+//                         backed by a SharedCellCache (blit_frac = blitted
+//                         / visible cells)
 //   delta_broadcast       cluster session bytes, delta on vs off
 //   render_span_kernel    blend span, active-ISA kernel vs scalar
 //   render_thick_line_kernel  every segment of the cold frame's cells,
@@ -26,7 +28,7 @@
 //   - determinism: parallel output bit-identical to serial at 1/4/8
 //     threads, for the cold frame and every dab frame,
 //   - cache correctness: the cache_restore recomposite is bit-identical
-//     to a cold render of the same scene,
+//     to a cold render of the same scene (perf-smoke gates blit_frac),
 //   - kernels: the active-ISA blend span and thick-line kernels draw
 //     exactly what their scalar loops draw,
 //   - (full run only) dab-edit median frame time >= 8x faster than the
@@ -49,6 +51,7 @@
 #include "reference_render.h"
 #include "render/kernels.h"
 #include "render/pipeline.h"
+#include "render/sharedcache.h"
 #include "render/spacetime.h"
 #include "util/metrics.h"
 #include "util/rng.h"
@@ -199,14 +202,29 @@ int run(const Options& opt) {
         bench::median(serialMs) > 0.0
             ? bench::median(fullMs) / bench::median(serialMs)
             : 0.0;
+  }
 
-    // Cache restore: damage the target, recomposite from the cell cache,
-    // and demand bit-identity with a cold render of the same scene.
+  // --- cache restore through the shared cell cache --------------------------
+  {
+    // Damage the target, recomposite through the cache, and demand
+    // bit-identity with a cold render of the same scene.
+    render::SharedCellCache cache;
+    render::PipelineOptions popt;
+    popt.sharedCache = &cache;
+    render::CellRenderPipeline pipe(popt);
+    render::Framebuffer fb(wall.totalPxW(), wall.totalPxH());
+    pipe.render(frames.back(), ds, render::Canvas::whole(fb), eye);
     pipe.invalidate();
     fb.clear(render::Color{1, 2, 3, 255});
     Stopwatch w;
-    pipe.render(frames.back(), ds, render::Canvas::whole(fb), eye);
-    report.add("cache_restore", {w.elapsedMillis()});
+    const auto stats =
+        pipe.render(frames.back(), ds, render::Canvas::whole(fb), eye);
+    auto& s = report.add("cache_restore", {w.elapsedMillis()});
+    const std::size_t visible = frames.back().cells.size() - stats.cellsCulled;
+    s.counters["blit_frac"] =
+        visible > 0 ? static_cast<double>(stats.cellsBlitted) /
+                          static_cast<double>(visible)
+                    : 0.0;
     render::Framebuffer coldFb(wall.totalPxW(), wall.totalPxH());
     render::CellRenderPipeline coldPipe;
     coldPipe.render(frames.back(), ds, render::Canvas::whole(coldFb), eye);

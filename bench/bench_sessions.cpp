@@ -154,9 +154,7 @@ ScaleOutcome runScale(std::size_t n, const traj::TrajectoryDataset& ds,
       for (std::size_t s = t; s < ids.size(); s += threads) {
         const auto script = tenantScript(s % kVariants);
         // One pipeline per tenant stream, all feeding the shared cache.
-        // Local slot caching off: the shared cache is the pixel store.
         render::PipelineOptions popt;
-        popt.cacheBudgetBytes = 0;
         popt.sharedCache = &ctx->renderCache();
         render::CellRenderPipeline pipe(popt);
         std::uint64_t applied = 0;

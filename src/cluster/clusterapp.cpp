@@ -199,11 +199,9 @@ void rankMain(int rank, net::InProcessTransport& transport,
       Stopwatch renderTimer;
       std::vector<TileImage> renderedLeft, renderedRight;
       auto accumulate = [&stats](const render::PipelineStats& ps) {
-        stats.cellsDrawn +=
-            ps.cellsRasterized + ps.cellsBlitted + ps.cellsSkipped;
+        stats.cellsDrawn += ps.cellsRasterized + ps.cellsSkipped;
         stats.cellsCulled += ps.cellsCulled;
         stats.cellsRasterized += ps.cellsRasterized;
-        stats.cellsBlitted += ps.cellsBlitted;
         stats.cellsSkipped += ps.cellsSkipped;
       };
       for (int tile : myTiles) {

@@ -189,13 +189,12 @@ struct RankStats {
   double renderSeconds = 0.0;    ///< total time in the tile pipelines
   double barrierSeconds = 0.0;   ///< total time blocked in the swap barrier
   double gatherSeconds = 0.0;    ///< total time serializing/sending tiles
-  /// Cells composited into this rank's tiles (rasterized + restored from
-  /// cache + skipped-as-unchanged).
+  /// Cells composited into this rank's tiles (rasterized +
+  /// skipped-as-unchanged; the tile pipelines have no pixel cache).
   std::size_t cellsDrawn = 0;
   std::size_t cellsCulled = 0;
   // Incremental-pipeline breakdown of cellsDrawn:
   std::size_t cellsRasterized = 0;  ///< content changed, redrawn
-  std::size_t cellsBlitted = 0;     ///< restored from the per-cell cache
   std::size_t cellsSkipped = 0;     ///< unchanged, pixels already in place
   // Fault observability:
   std::uint64_t degradedSwaps = 0;  ///< barriers that completed minus a peer

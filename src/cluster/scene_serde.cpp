@@ -1,6 +1,7 @@
 #include "cluster/scene_serde.h"
 
 #include <cstring>
+#include <utility>
 
 namespace svq::cluster {
 
@@ -197,19 +198,27 @@ bool SceneReceiver::apply(MessageBuffer& buf) {
     case ScenePacketKind::kDelta: {
       const std::uint64_t baseEpoch = buf.getU64();
       if (!hasScene_ || epoch_ != baseEpoch) return false;
-      getSceneFields(buf, scene_);
+      // Decode the whole delta before touching the held scene, so a packet
+      // that throws part-way leaves the scene and epoch as they were.
+      render::SceneModel next;
+      getSceneFields(buf, next);
       const std::uint32_t cellCount = buf.getU32();
       if (cellCount != scene_.cells.size()) {
         throw net::MessageError("scene delta cell-count mismatch");
       }
-      const std::uint32_t changed = buf.getU32();
+      const std::uint32_t changed = getCount(buf, 4 + kMinCellBytes);
+      std::vector<std::pair<std::uint32_t, render::CellView>> cells;
+      cells.reserve(changed);
       for (std::uint32_t i = 0; i < changed; ++i) {
         const std::uint32_t index = buf.getU32();
-        if (index >= scene_.cells.size()) {
+        if (index >= cellCount) {
           throw net::MessageError("scene delta cell index out of range");
         }
-        scene_.cells[index] = getCell(buf);
+        cells.emplace_back(index, getCell(buf));
       }
+      next.cells = std::move(scene_.cells);
+      for (auto& [index, cell] : cells) next.cells[index] = std::move(cell);
+      scene_ = std::move(next);
       epoch_ = epoch;
       return true;
     }

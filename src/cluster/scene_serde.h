@@ -83,7 +83,8 @@ class SceneReceiver {
  public:
   /// Decodes one broadcast packet. kFull replaces the cache, kDelta
   /// patches it, kNone is a no-op. Returns false (cache unchanged) iff a
-  /// delta could not be applied.
+  /// delta could not be applied. A malformed packet throws
+  /// net::MessageError and also leaves the scene and epoch unchanged.
   bool apply(net::MessageBuffer& buf);
 
   /// Drops the cached scene (fault injection: a rank that lost its render

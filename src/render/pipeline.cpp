@@ -57,7 +57,6 @@ PipelineOptions PipelineOptions::fromEnv() {
     if (!pool) pool = std::make_unique<ThreadPool>(static_cast<unsigned>(threads));
     o.pool = pool.get();
   }
-  o.cacheBudgetBytes = envSize("SVQ_RENDER_CACHE_MB", 256) << 20;
   return o;
 }
 
@@ -91,7 +90,6 @@ void CellRenderPipeline::resetLayout(const SceneModel& scene,
   for (std::size_t i = 0; i < scene.cells.size(); ++i) {
     slots_[i].clip = scene.cells[i].rect.clipped(bounds);
   }
-  cachedBytes_ = 0;
   layoutDisjoint_ = clipsDisjoint();
 }
 
@@ -149,17 +147,14 @@ PipelineStats CellRenderPipeline::render(const SceneModel& scene,
     fillRect(canvas, canvas.clipRect(), scene.wallBackground);
   }
 
-  // Classify every cell: culled / skip / blit-from-cache / rasterize.
-  // Budget accounting happens here, serially, so the parallel phase only
-  // touches per-cell disjoint state. Only visible cells are keyed: a
-  // culled slot's key is never read, because a clip change resets it.
+  // Classify every cell: culled / skip / blit from the shared cache /
+  // rasterize. Only visible cells are keyed: a culled slot's key is never
+  // read, because a clip change resets it.
   struct Work {
     std::size_t cell;
     std::uint64_t key;
-    bool cachePixels;
   };
   std::vector<Work> toRasterize;
-  std::vector<std::size_t> toBlit;
   for (std::size_t i = 0; i < scene.cells.size(); ++i) {
     CellSlot& slot = slots_[i];
     if (slot.clip.empty()) {
@@ -172,55 +167,22 @@ PipelineStats CellRenderPipeline::render(const SceneModel& scene,
       ++stats.cellsSkipped;
       continue;
     }
-    if (unchanged && slot.pixels) {
-      toBlit.push_back(i);
-      continue;
-    }
-    const std::size_t newBytes = static_cast<std::size_t>(slot.clip.areaPx()) *
-                                 sizeof(Color);
-    const std::size_t oldBytes =
-        (slot.pixels ? slot.pixels->pixelCount() : 0) * sizeof(Color);
-    // Reserves local cache budget for this cell's new pixels; on refusal
-    // drops the stale copy but keeps the key slot.
-    auto reserveLocal = [&]() {
-      if (options_.cacheBudgetBytes > 0 &&
-          cachedBytes_ - oldBytes + newBytes <= options_.cacheBudgetBytes) {
-        cachedBytes_ = cachedBytes_ - oldBytes + newBytes;
-        return true;
-      }
-      if (oldBytes > 0) {
-        slot.pixels.reset();
-        cachedBytes_ -= oldBytes;
-      }
-      return false;
-    };
-    // Dirty (or unchanged-but-uncached during a recomposite). Another
-    // session's pipeline may already have rasterized this exact cell —
+    // Changed, or redrawn by a recomposite. A pipeline sharing the cache
+    // (this one included) may already have rasterized this exact cell —
     // the key covers everything renderCell reads, so a dimension-matched
     // hit is pixel-identical by construction.
     if (options_.sharedCache != nullptr) {
       if (auto shared = options_.sharedCache->find(
               key, slot.clip.w, slot.clip.h, sharedClientId_)) {
         canvas.blitRows(*shared, 0, 0, slot.clip);
-        ++stats.cellsSharedBlitted;
+        ++(unchanged ? stats.cellsBlitted : stats.cellsSharedBlitted);
         stats.pixelsBlitted += static_cast<std::uint64_t>(slot.clip.areaPx());
-        // Adopt the shared allocation into the local slot (no copy) so
-        // target-damage recomposites can restore without rasterizing.
-        slot.pixels = reserveLocal() ? std::move(shared) : nullptr;
         slot.key = key;
         slot.hasKey = true;
         continue;
       }
     }
-    toRasterize.push_back({i, key, reserveLocal()});
-  }
-
-  // Restore unchanged-but-uncached-in-target cells with row blits.
-  for (const std::size_t i : toBlit) {
-    CellSlot& slot = slots_[i];
-    canvas.blitRows(*slot.pixels, 0, 0, slot.clip);
-    ++stats.cellsBlitted;
-    stats.pixelsBlitted += static_cast<std::uint64_t>(slot.clip.areaPx());
+    toRasterize.push_back({i, key});
   }
 
   // Rasterize dirty cells. Cells own disjoint clips (checked at layout
@@ -228,7 +190,7 @@ PipelineStats CellRenderPipeline::render(const SceneModel& scene,
   // output is bit-identical for any thread count.
   std::vector<std::size_t> segments(toRasterize.size(), 0);
   // Chunk-granular cancellation: the unit of abandonment is one cell. A
-  // cell either rasterizes completely (key + cached pixels updated) or
+  // cell either rasterizes completely (key updated, pixels published) or
   // not at all (slot untouched, stays dirty) — never half a cell.
   std::vector<std::uint8_t> rasterized(toRasterize.size(), 0);
   auto rasterizeOne = [&](std::size_t w) {
@@ -240,20 +202,16 @@ PipelineStats CellRenderPipeline::render(const SceneModel& scene,
     renderCell(scene, cell, dataset, canvas.subCanvas(cell.rect), eye,
                cellStats);
     segments[w] = cellStats.segmentsDrawn;
-    if (work.cachePixels || options_.sharedCache != nullptr) {
-      // Snapshot the cell's pixels out of the target for later blit
-      // restores. Slots are per-cell, so this is race-free; one
-      // allocation backs both the local slot and the shared cache entry.
+    if (options_.sharedCache != nullptr) {
+      // Publish a snapshot of the cell's pixels; the cache owns it. Only
+      // a published cell is ever copied out of the target.
       auto snap = std::make_shared<Framebuffer>(slot.clip.w, slot.clip.h);
       snap->copyRect(*canvas.fb,
                      RectI{slot.clip.x - canvas.region.x,
                            slot.clip.y - canvas.region.y, slot.clip.w,
                            slot.clip.h},
                      0, 0);
-      if (options_.sharedCache != nullptr) {
-        options_.sharedCache->insert(work.key, snap, sharedClientId_);
-      }
-      if (work.cachePixels) slot.pixels = std::move(snap);
+      options_.sharedCache->insert(work.key, std::move(snap), sharedClientId_);
     }
     slot.key = work.key;
     slot.hasKey = true;
@@ -289,8 +247,7 @@ PipelineStats CellRenderPipeline::render(const SceneModel& scene,
   eye_ = eye;
   background_ = scene.wallBackground;
   // An aborted render leaves the target missing the abandoned cells:
-  // self-invalidate so the next render recomposites instead of trusting
-  // it (finished cells restore by blit, abandoned ones re-rasterize).
+  // self-invalidate so the next render recomposites instead of trusting it.
   targetValid_ = !stats.aborted;
   return stats;
 }

@@ -6,12 +6,18 @@
 // between edits. CellRenderPipeline is the one render path of the
 // library:
 //
-//   * per-cell framebuffer cache — each cell rasterizes into the target
-//     through a sub-canvas clipped to its own rect, keyed by a content
-//     hash (cellContentHash) over everything renderCell reads. A cell
-//     whose key is unchanged since the last frame is skipped outright —
-//     its pixels are already in the (persistent) target — or restored
-//     with a row-wise blit from the cache after target damage;
+//   * per-cell keys — each cell rasterizes into the target through a
+//     sub-canvas clipped to its own rect, keyed by a content hash
+//     (cellContentHash) over everything renderCell reads. A cell whose
+//     key is unchanged since the last frame is skipped outright: its
+//     pixels are already in the (persistent) target. The pipeline keeps
+//     keys, not pixels;
+//   * one pixel cache — with PipelineOptions::sharedCache set, a cell
+//     that must be drawn (changed, or any cell of a recomposite after
+//     target damage) is first looked up in the SharedCellCache
+//     (render/sharedcache.h) and blitted on a hit; every rasterized cell
+//     is published there. Without one, such cells are rasterized and
+//     never copied;
 //   * cell-parallel rasterization — dirty cells rasterize concurrently
 //     over a ThreadPool. Cells own pairwise-disjoint rects, so concurrent
 //     cells never touch the same pixel and the output is bit-identical
@@ -32,7 +38,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "render/scene.h"
@@ -48,31 +53,27 @@ struct PipelineOptions {
   /// Worker pool for cell-parallel rasterization; nullptr = serial.
   /// Output is bit-identical either way.
   ThreadPool* pool = nullptr;
-  /// Budget for cached cell framebuffers. Cells beyond the budget keep
-  /// their keys (skip detection still works) but drop their pixels, so a
-  /// target-damage recomposite re-rasterizes them instead of blitting.
-  /// 0 disables pixel caching entirely.
-  std::size_t cacheBudgetBytes = 256ull << 20;
-  /// Cross-session cell cache (render/sharedcache.h), or nullptr. When
-  /// set, dirty cells are first looked up by content key — a hit blits
-  /// pixels another session (or an evicted slot of this one) already
-  /// rasterized — and freshly rasterized cells are published back.
-  /// Every pipeline sharing a cache must render the same dataset on the
-  /// same wall (the SharedContext discipline); output is bit-identical
-  /// with or without the cache.
+  /// The pixel cache (render/sharedcache.h), or nullptr for none. When
+  /// set, every cell that must be drawn is first looked up by content
+  /// key — a hit blits pixels this or another pipeline already
+  /// rasterized — and freshly rasterized cells are published back. Every
+  /// pipeline sharing a cache must render the same dataset on the same
+  /// wall (the SharedContext discipline); output is bit-identical with or
+  /// without the cache.
   SharedCellCache* sharedCache = nullptr;
 
-  /// Reads SVQ_RENDER_THREADS (0/unset = serial, N>1 = pool of N) and
-  /// SVQ_RENDER_CACHE_MB from the environment.
+  /// Reads SVQ_RENDER_THREADS (0/unset = serial, N>1 = pool of N) from
+  /// the environment.
   static PipelineOptions fromEnv();
 };
 
 /// What one render() call did (also mirrored into the global metrics
 /// registry under "render.").
 struct PipelineStats {
-  std::size_t cellsRasterized = 0;  ///< content changed: full redraw
-  std::size_t cellsBlitted = 0;     ///< unchanged, restored from local cache
-  std::size_t cellsSharedBlitted = 0;  ///< dirty, served from shared cache
+  std::size_t cellsRasterized = 0;  ///< drawn by renderCell
+  /// Unchanged, restored from the shared cache by a recomposite.
+  std::size_t cellsBlitted = 0;
+  std::size_t cellsSharedBlitted = 0;  ///< changed, served from shared cache
   std::size_t cellsSkipped = 0;     ///< unchanged, pixels already in target
   std::size_t cellsCulled = 0;      ///< outside the canvas region
   std::uint64_t pixelsRasterized = 0;
@@ -84,8 +85,8 @@ struct PipelineStats {
   bool refused = false;
   /// A cancellation stopped the render before every dirty cell was
   /// rasterized. The target is incomplete; the pipeline has already
-  /// self-invalidated, so the next render() recomposites (blitting cells
-  /// that did finish from the cache, re-rasterizing the abandoned ones).
+  /// self-invalidated, so the next render() recomposites every visible
+  /// cell (from the shared cache where it holds them).
   bool aborted = false;
 
   std::size_t cellsDrawn() const {
@@ -100,7 +101,8 @@ struct PipelineStats {
 /// background) does a full recomposite; subsequent renders touch only the
 /// cells whose content hash changed. Call invalidate() when the target's
 /// pixels were damaged externally (e.g. buffer reuse) — the next render
-/// recomposites from the cache via blits instead of trusting the target.
+/// recomposites instead of trusting the target: each visible cell is
+/// blitted from the shared cache when it holds the cell, else rasterized.
 ///
 /// Not thread-safe per instance; one pipeline per render stream (the
 /// cluster app keeps one per owned tile per eye).
@@ -111,30 +113,24 @@ class CellRenderPipeline {
   /// Renders `scene` into `canvas` for `eye`, incrementally. `cancel`
   /// (optional) is polled per cell in the rasterize phase: an abandoned
   /// render returns stats.aborted=true with the pipeline self-invalidated
-  /// (cells that finished keep their cached pixels and keys; abandoned
-  /// cells stay dirty and redo on the next render).
+  /// (cells that finished keep their keys; abandoned cells stay dirty and
+  /// redo on the next render).
   PipelineStats render(const SceneModel& scene,
                        const traj::TrajectoryDataset& dataset,
                        Canvas canvas, Eye eye,
                        const util::Cancellation* cancel = nullptr);
 
   /// Marks the target's pixels unreliable; the next render recomposites
-  /// every visible cell (blitting unchanged ones from the cache).
+  /// every visible cell.
   void invalidate() { targetValid_ = false; }
 
   const PipelineOptions& options() const { return options_; }
-  std::size_t cachedBytes() const { return cachedBytes_; }
 
  private:
   struct CellSlot {
     std::uint64_t key = 0;
     bool hasKey = false;
     RectI clip;  ///< cell.rect ∩ canvas.region at last render
-    /// Cached copy of the clip rect (may be null). Shared, not copied,
-    /// with the cross-session cache: a slot populated by rasterization
-    /// holds the same allocation the shared cache publishes, and a slot
-    /// populated by a shared-cache hit adopts the found entry.
-    std::shared_ptr<const Framebuffer> pixels;
   };
 
   void resetLayout(const SceneModel& scene, Canvas canvas);
@@ -149,7 +145,6 @@ class CellRenderPipeline {
   Color background_{};
   bool targetValid_ = false;
   bool layoutDisjoint_ = true;
-  std::size_t cachedBytes_ = 0;
   /// Identity in options_.sharedCache for cross-hit accounting (0 = none).
   std::uint64_t sharedClientId_ = 0;
 };

@@ -1,17 +1,18 @@
-// sharedcache.h — cross-session cell-framebuffer cache.
+// sharedcache.h — cross-session cell-framebuffer cache, the library's only
+// pixel cache.
 //
-// The per-pipeline cell cache (pipeline.h) dedupes *frames within one
-// session*: an unchanged cell is skipped or blitted instead of
-// re-rasterized. A session service multiplexing hundreds of explorers
-// over one dataset has a second, larger source of redundancy: *identical
-// cells across sessions*. Most tenants start from the same default
-// layout, brush the same popular regions and look at the same
-// trajectories, so the (eye-salted) content-hash keys the pipeline
-// already computes collide across sessions exactly when the pixels would
-// be identical. SharedCellCache exploits that: one process-wide (per
-// SharedContext) map from cell key to rasterized pixels, consulted by
-// every pipeline before it rasterizes, populated by whichever session
-// rasterized the cell first.
+// A pipeline's per-cell keys (pipeline.h) dedupe *frames within one
+// session*: an unchanged cell is skipped, its pixels still in the target.
+// A pipeline keeps no copy of its cells' pixels. A session service
+// multiplexing hundreds of explorers over one dataset has a second,
+// larger source of redundancy: *identical cells across sessions*. Most
+// tenants start from the same default layout, brush the same popular
+// regions and look at the same trajectories, so the (eye-salted)
+// content-hash keys the pipeline already computes collide across
+// sessions exactly when the pixels would be identical. SharedCellCache
+// exploits that: one process-wide (per SharedContext) map from cell key
+// to rasterized pixels, consulted by every pipeline before it
+// rasterizes, populated by whichever session rasterized the cell first.
 //
 // Key discipline (what makes a cross-session hit safe): the key is the
 // pipeline's eye-salted cellContentHash, which covers *every* input
@@ -26,9 +27,10 @@
 //
 // Concurrency: one mutex around the map + LRU list. Lookups and inserts
 // are small (pointer moves; pixels live behind shared_ptr and are never
-// copied by the cache), so the lock is held for microseconds; rasterized
-// pixels are shared, not duplicated, between the inserting pipeline's
-// local slot and the cache (and every pipeline that later hits).
+// copied by the cache), so the lock is held for microseconds. A
+// rasterized cell is copied once, into the snapshot the pipeline
+// publishes; every pipeline that later hits blits from that allocation,
+// including the publisher's own recomposites after target damage.
 //
 // Metrics (util/metrics, prefix "render.shared."): hits, cross_hits (hit
 // on an entry inserted by a *different* client — the multi-tenant win),

@@ -566,6 +566,54 @@ TEST(SceneDeltaSerdeTest, SceneWideChangeFallsBackToFullPacket) {
   EXPECT_EQ(encoder.encode(b2, sceneB), ScenePacketKind::kFull);
 }
 
+TEST(SceneDeltaSerdeTest, TruncatedDeltaLeavesReceiverUntouched) {
+  const auto ds = makeDataset();
+  const wall::WallSpec w = smallWall();
+  const render::SceneModel sceneA = makeScene(ds, w);
+  render::SceneModel sceneB = sceneA;
+  sceneB.cells[1].segmentHighlights.assign(20, static_cast<std::int8_t>(0));
+  sceneB.cells[4].label = "patched";
+  sceneB.queryGeneration = sceneA.queryGeneration + 5;
+
+  SceneDeltaEncoder encoder;
+  net::MessageBuffer full, delta;
+  encoder.encode(full, sceneA);
+  ASSERT_EQ(encoder.encode(delta, sceneB), ScenePacketKind::kDelta);
+
+  const auto sceneBytes = [](const render::SceneModel& scene) {
+    net::MessageBuffer buf;
+    serializeScene(buf, scene);
+    return buf.bytes();
+  };
+  SceneReceiver receiver;
+  full.rewind();
+  ASSERT_TRUE(receiver.apply(full));
+  const std::vector<std::uint8_t> base = sceneBytes(receiver.scene());
+  const std::uint64_t baseEpoch = receiver.epoch();
+
+  // Every proper prefix fails — by throwing or by returning false — and
+  // leaves neither new scene fields nor some of the changed cells behind.
+  const std::vector<std::uint8_t>& bytes = delta.bytes();
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    net::MessageBuffer prefix(std::vector<std::uint8_t>(
+        bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(cut)));
+    bool applied = false;
+    try {
+      applied = receiver.apply(prefix);
+    } catch (const net::MessageError&) {
+    }
+    EXPECT_FALSE(applied) << "prefix of " << cut << " bytes";
+    ASSERT_EQ(sceneBytes(receiver.scene()), base)
+        << "prefix of " << cut << " bytes";
+    ASSERT_EQ(receiver.epoch(), baseEpoch) << "prefix of " << cut << " bytes";
+  }
+
+  delta.rewind();
+  EXPECT_TRUE(receiver.apply(delta));
+  EXPECT_EQ(receiver.epoch(), encoder.epoch());
+  EXPECT_EQ(sceneBytes(receiver.scene()), sceneBytes(sceneB));
+}
+
 /// Evolving interactive session: one brush dab per frame.
 std::vector<render::SceneModel> makeEvolvingFrames(
     const traj::TrajectoryDataset& ds, const wall::WallSpec& w,

@@ -1,7 +1,7 @@
-// Tests for render/pipeline.h — the dirty-cell incremental renderer: cache
-// keying, skip/blit/rasterize classification, cache-budget behaviour,
-// overlap refusal, and the determinism contracts (parallel == serial,
-// cached == cold) that the cluster renderer and benches rely on.
+// Tests for render/pipeline.h — the dirty-cell incremental renderer: cell
+// keying, skip/blit/rasterize classification, restores through the shared
+// pixel cache, overlap refusal, and the determinism contracts (parallel ==
+// serial, cached == cold) that the cluster renderer and benches rely on.
 #include "render/pipeline.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include <memory>
 
 #include "reference_render.h"
+#include "render/sharedcache.h"
 #include "traj/synth.h"
 #include "util/cancel.h"
 #include "util/threadpool.h"
@@ -159,11 +160,42 @@ TEST(PipelineTest, ParallelBitIdenticalToSerial) {
   }
 }
 
-TEST(PipelineTest, InvalidateRestoresFromCacheBitIdentical) {
+TEST(PipelineTest, NoCacheRecompositeRasterizesEveryVisibleCell) {
   const auto ds = makeDataset();
   const SceneModel scene = makeScene(ds);
   Framebuffer fb(240, 80);
   CellRenderPipeline pipeline;
+  pipeline.render(scene, ds, Canvas::whole(fb), Eye::kLeft);
+  const std::uint64_t hash = fb.contentHash();
+
+  // Without a pixel cache, target damage is repaired by rasterizing.
+  fb.clear(colors::kRed);
+  pipeline.invalidate();
+  const PipelineStats restore =
+      pipeline.render(scene, ds, Canvas::whole(fb), Eye::kLeft);
+  EXPECT_TRUE(restore.fullRecomposite);
+  EXPECT_EQ(restore.cellsRasterized, scene.cells.size());
+  EXPECT_EQ(restore.cellsBlitted, 0u);
+  EXPECT_EQ(restore.cellsSharedBlitted, 0u);
+  EXPECT_EQ(restore.pixelsBlitted, 0u);
+  EXPECT_EQ(fb.contentHash(), hash);
+
+  // Keys survive the recomposite: the next frame skips every cell.
+  const PipelineStats steady =
+      pipeline.render(scene, ds, Canvas::whole(fb), Eye::kLeft);
+  EXPECT_EQ(steady.cellsSkipped, scene.cells.size());
+  EXPECT_EQ(steady.cellsRasterized, 0u);
+  EXPECT_EQ(fb.contentHash(), hash);
+}
+
+TEST(PipelineTest, InvalidateRestoresFromCacheBitIdentical) {
+  const auto ds = makeDataset();
+  const SceneModel scene = makeScene(ds);
+  SharedCellCache cache;
+  PipelineOptions options;
+  options.sharedCache = &cache;
+  Framebuffer fb(240, 80);
+  CellRenderPipeline pipeline(options);
   pipeline.render(scene, ds, Canvas::whole(fb), Eye::kLeft);
   const std::uint64_t hash = fb.contentHash();
 
@@ -172,49 +204,26 @@ TEST(PipelineTest, InvalidateRestoresFromCacheBitIdentical) {
   const PipelineStats stats =
       pipeline.render(scene, ds, Canvas::whole(fb), Eye::kLeft);
   EXPECT_TRUE(stats.fullRecomposite);
+  // Unchanged cells restored from the cache count as cellsBlitted only,
+  // never also as shared blits of changed cells.
   EXPECT_EQ(stats.cellsBlitted, scene.cells.size());
+  EXPECT_EQ(stats.cellsSharedBlitted, 0u);
   EXPECT_EQ(stats.cellsRasterized, 0u);
-  EXPECT_GT(stats.pixelsBlitted, 0u);
-  EXPECT_EQ(fb.contentHash(), hash);
-}
-
-TEST(PipelineTest, ZeroBudgetDisablesCacheButStaysCorrect) {
-  const auto ds = makeDataset();
-  const SceneModel scene = makeScene(ds);
-  PipelineOptions options;
-  options.cacheBudgetBytes = 0;
-  Framebuffer fb(240, 80);
-  CellRenderPipeline pipeline(options);
-  pipeline.render(scene, ds, Canvas::whole(fb), Eye::kLeft);
-  EXPECT_EQ(pipeline.cachedBytes(), 0u);
-  const std::uint64_t hash = fb.contentHash();
-
-  // Skip detection still works without pixel caching...
-  const PipelineStats steady =
-      pipeline.render(scene, ds, Canvas::whole(fb), Eye::kLeft);
-  EXPECT_EQ(steady.cellsSkipped, scene.cells.size());
-
-  // ...and target damage falls back to re-rasterizing, not blitting.
-  fb.clear(colors::kRed);
-  pipeline.invalidate();
-  const PipelineStats restore =
-      pipeline.render(scene, ds, Canvas::whole(fb), Eye::kLeft);
-  EXPECT_EQ(restore.cellsBlitted, 0u);
-  EXPECT_EQ(restore.cellsRasterized, scene.cells.size());
+  EXPECT_EQ(stats.pixelsBlitted, 240u * 80u);
   EXPECT_EQ(fb.contentHash(), hash);
 }
 
 TEST(PipelineTest, TinyBudgetCachesSomeCellsAndStaysCorrect) {
   const auto ds = makeDataset();
   const SceneModel scene = makeScene(ds);
+  // Room for two 60x40 RGBA cells.
+  SharedCellCache cache(2 * 60 * 40 * 4 + 64);
   PipelineOptions options;
-  // Room for roughly two 60x40 RGBA cells.
-  options.cacheBudgetBytes = 2 * 60 * 40 * 4 + 64;
+  options.sharedCache = &cache;
   Framebuffer fb(240, 80);
   CellRenderPipeline pipeline(options);
   pipeline.render(scene, ds, Canvas::whole(fb), Eye::kLeft);
-  EXPECT_LE(pipeline.cachedBytes(), options.cacheBudgetBytes);
-  EXPECT_GT(pipeline.cachedBytes(), 0u);
+  EXPECT_EQ(cache.entries(), 2u);
   const std::uint64_t hash = fb.contentHash();
 
   fb.clear(colors::kRed);
@@ -223,7 +232,46 @@ TEST(PipelineTest, TinyBudgetCachesSomeCellsAndStaysCorrect) {
       pipeline.render(scene, ds, Canvas::whole(fb), Eye::kLeft);
   EXPECT_GT(restore.cellsBlitted, 0u);
   EXPECT_GT(restore.cellsRasterized, 0u);
+  EXPECT_EQ(restore.cellsBlitted + restore.cellsRasterized,
+            scene.cells.size());
   EXPECT_EQ(fb.contentHash(), hash);
+}
+
+TEST(PipelineTest, SharedCacheInsertsEveryRasterizedCell) {
+  const auto ds = makeDataset();
+  const SceneModel scene = makeScene(ds, 6, 4, 40, 30);
+  SceneModel edited = scene;
+  dabCell(edited, 7, 1);
+  dabCell(edited, 12, 0);
+  SceneModel rewindowed = edited;
+  rewindowed.timeWindow = {5.0f, 60.0f};
+
+  for (unsigned threads : {1u, 4u, 8u}) {
+    ThreadPool pool(threads);
+    SharedCellCache cache;
+    PipelineOptions options;
+    options.pool = &pool;
+    options.sharedCache = &cache;
+    Framebuffer fb(240, 120);
+    CellRenderPipeline pipeline(options);
+    auto check = [&](const SceneModel& frame, const char* step) {
+      const std::uint64_t before = cache.stats().inserts;
+      const PipelineStats stats =
+          pipeline.render(frame, ds, Canvas::whole(fb), Eye::kLeft);
+      EXPECT_EQ(cache.stats().inserts - before, stats.cellsRasterized)
+          << threads << " threads, " << step;
+      EXPECT_EQ(fb.contentHash(),
+                coldRender(frame, ds, 240, 120, Eye::kLeft).contentHash())
+          << threads << " threads, " << step;
+      return stats.cellsRasterized;
+    };
+    EXPECT_EQ(check(scene, "cold"), scene.cells.size());
+    EXPECT_EQ(check(edited, "dab"), 2u);
+    fb.clear(colors::kRed);
+    pipeline.invalidate();
+    EXPECT_EQ(check(edited, "restore"), 0u);
+    EXPECT_EQ(check(rewindowed, "window"), scene.cells.size());
+  }
 }
 
 TEST(PipelineTest, OverlappingCellsAreRefused) {

@@ -45,7 +45,7 @@ std::vector<Config> fleetConfigs() {
   faulty.options.deltaBroadcast = true;
   faulty.options.injectWireFaults = true;
   configs.push_back(std::move(faulty));
-  // Shared cell cache off: per-pipeline caches only. Caching must be
+  // Shared cell cache off: no pixel cache at all. Caching must be
   // invisible to content.
   Config uncached;
   uncached.label = "threads=4 delta=off shared-cache=off";
