@@ -2,8 +2,7 @@
 //
 // Regenerates: the session-coding summary (tag counts, tool usage,
 // sensemaking-stage mapping, hypothesis cadence) for the scripted analyst
-// session, plus the costs of script replay, auto-coding, and event
-// serialization that record/replay relies on.
+// session, plus the costs of script replay and auto-coding.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
@@ -77,15 +76,6 @@ void BM_SessionStats(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SessionStats)->Unit(benchmark::kMicrosecond);
-
-void BM_ScriptSerialization(benchmark::State& state) {
-  const ui::InputScript script = analystSession();
-  for (auto _ : state) {
-    auto restored = ui::InputScript::deserialize(script.serialize());
-    benchmark::DoNotOptimize(restored);
-  }
-}
-BENCHMARK(BM_ScriptSerialization)->Unit(benchmark::kMicrosecond);
 
 void printContext() {
   std::printf("\n=== E8 / Sec. V: coded pilot session ===\n");

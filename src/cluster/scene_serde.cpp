@@ -10,21 +10,12 @@ using render::Color;
 
 namespace {
 
-// Smallest wire size of each counted element, for bounding counts. A cell
+// Smallest wire size of each counted element, for bounding counts with
+// MessageBuffer::getCount, so a forged count never sizes a reserve(). A cell
 // is an index, a rect, a color, two counts and a coverage; a tile is an
 // index, its width and height, and a payload length.
 constexpr std::size_t kMinCellBytes = 36;
 constexpr std::size_t kMinTileBytes = 16;
-
-/// Reads an element count and rejects one that the bytes left could not
-/// hold at `minElemBytes` each, so a forged count never sizes a reserve().
-std::uint32_t getCount(MessageBuffer& buf, std::size_t minElemBytes) {
-  const std::uint32_t n = buf.getU32();
-  if (n > buf.remaining() / minElemBytes) {
-    throw net::MessageError("element count exceeds the packet");
-  }
-  return n;
-}
 
 void putColor(MessageBuffer& buf, Color c) {
   buf.putU8(c.r);
@@ -59,7 +50,7 @@ render::CellView getCell(MessageBuffer& buf) {
   cell.trajectoryIndex = buf.getU32();
   cell.rect = buf.getRect();
   cell.background = getColor(buf);
-  const std::uint32_t n = getCount(buf, 1);
+  const std::uint32_t n = buf.getCount(1);
   cell.segmentHighlights.reserve(n);
   for (std::uint32_t s = 0; s < n; ++s) {
     cell.segmentHighlights.push_back(static_cast<std::int8_t>(buf.getU8()));
@@ -114,7 +105,7 @@ void serializeScene(MessageBuffer& buf, const render::SceneModel& scene) {
 
 render::SceneModel deserializeScene(MessageBuffer& buf) {
   render::SceneModel scene;
-  const std::uint32_t cellCount = getCount(buf, kMinCellBytes);
+  const std::uint32_t cellCount = buf.getCount(kMinCellBytes);
   scene.cells.reserve(cellCount);
   for (std::uint32_t i = 0; i < cellCount; ++i) {
     scene.cells.push_back(getCell(buf));
@@ -206,7 +197,7 @@ bool SceneReceiver::apply(MessageBuffer& buf) {
       if (cellCount != scene_.cells.size()) {
         throw net::MessageError("scene delta cell-count mismatch");
       }
-      const std::uint32_t changed = getCount(buf, 4 + kMinCellBytes);
+      const std::uint32_t changed = buf.getCount(4 + kMinCellBytes);
       std::vector<std::pair<std::uint32_t, render::CellView>> cells;
       cells.reserve(changed);
       for (std::uint32_t i = 0; i < changed; ++i) {
@@ -263,7 +254,7 @@ void serializeTilePacket(MessageBuffer& buf,
 }
 
 std::vector<TileImage> deserializeTilePacket(MessageBuffer& buf) {
-  const std::uint32_t n = getCount(buf, kMinTileBytes);
+  const std::uint32_t n = buf.getCount(kMinTileBytes);
   std::vector<TileImage> tiles;
   tiles.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {

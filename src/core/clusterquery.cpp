@@ -4,6 +4,24 @@
 
 namespace svq::core {
 
+namespace {
+
+/// Refs to the stored averages of the displayable nodes, in display order
+/// (summary index = display position), so a query evaluates them in place
+/// instead of on per-call copies.
+std::vector<TrajectoryRef> displayableRefs(
+    const std::vector<traj::Trajectory>& averages,
+    std::span<const std::uint32_t> displayable) {
+  std::vector<TrajectoryRef> refs;
+  refs.reserve(displayable.size());
+  for (std::size_t i = 0; i < displayable.size(); ++i) {
+    refs.push_back({&averages[displayable[i]], static_cast<std::uint32_t>(i)});
+  }
+  return refs;
+}
+
+}  // namespace
+
 SomExplorer::SomExplorer(const traj::TrajectoryDataset& dataset,
                          const traj::SomParams& somParams,
                          const traj::FeatureParams& featureParams)
@@ -25,8 +43,8 @@ std::vector<traj::Trajectory> SomExplorer::clusterAverages() const {
 
 QueryResult SomExplorer::queryClusters(const BrushGrid& brush,
                                        const QueryParams& params) const {
-  const auto averages = clusterAverages();
-  return evaluate(makeRefs(averages), brush, params);
+  return evaluate(displayableRefs(clustering_.averages, displayable_), brush,
+                  params);
 }
 
 std::vector<std::uint32_t> SomExplorer::drillDown(
@@ -65,8 +83,8 @@ std::vector<traj::Trajectory> ShardSomExplorer::clusterAverages() const {
 
 QueryResult ShardSomExplorer::queryClusters(const BrushGrid& brush,
                                             const QueryParams& params) const {
-  const auto averages = clusterAverages();
-  return evaluate(makeRefs(averages), brush, params);
+  return evaluate(displayableRefs(clustering_.averages, displayable_), brush,
+                  params);
 }
 
 std::vector<std::uint32_t> ShardSomExplorer::drillDown(

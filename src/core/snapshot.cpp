@@ -1,7 +1,6 @@
 #include "core/snapshot.h"
 
-#include <fstream>
-#include <sstream>
+#include <vector>
 
 #include "ui/events.h"
 #include "util/io.h"
@@ -12,9 +11,9 @@ namespace svq::core {
 namespace {
 constexpr std::uint32_t kSnapshotMagic = 0x53565150u;  // "SVQP"
 constexpr std::uint32_t kVersion = 1;
-// Payload-bounded count checks: a corrupt count field must be rejected
-// from the bytes actually present, not discovered via per-record throws
-// after O(count) side effects. Minimum encoded sizes per record:
+// Payload-bounded counts (MessageBuffer::getCount): a corrupt count field
+// must be rejected from the bytes actually present, before it sizes the
+// decoded record lists. Minimum encoded sizes per record:
 // group = id u8 + name length u32 + rect 4*f32 + MetaFilter (5 optional
 // flag bytes) + colorIndex u8 + pageOffset u32; stroke = brushIndex u8 +
 // centerCm 2*f32 + radiusCm f32.
@@ -22,8 +21,8 @@ constexpr std::size_t kGroupRecordMinBytes = 1 + 4 + 16 + 5 + 1 + 4;
 constexpr std::size_t kStrokeRecordBytes = 1 + 8 + 4;
 }  // namespace
 
-net::MessageBuffer saveSnapshot(const Session& app) {
-  net::MessageBuffer buf;
+util::MessageBuffer saveSnapshot(const Session& app) {
+  util::MessageBuffer buf;
   buf.putU32(kSnapshotMagic);
   buf.putU32(kVersion);
   buf.putU8(static_cast<std::uint8_t>(app.activePreset()));
@@ -54,65 +53,72 @@ net::MessageBuffer saveSnapshot(const Session& app) {
   return buf;
 }
 
-bool restoreSnapshot(Session& app, net::MessageBuffer snapshot) {
+bool restoreSnapshot(Session& app, util::MessageBuffer snapshot) {
+  // Decode everything before touching the session, then apply it to a
+  // fork that replaces the session only if every apply succeeds: a
+  // rejected snapshot leaves the session exactly as it was.
+  std::uint8_t preset = 0;
+  std::vector<TrajectoryGroup> groups;
+  std::vector<ui::BrushStrokeEvent> strokes;
+  ui::TimeWindowEvent window;
+  ui::DepthOffsetEvent depth;
+  ui::TimeScaleEvent timeScale;
   try {
     snapshot.rewind();
     if (snapshot.getU32() != kSnapshotMagic) return false;
     if (snapshot.getU32() != kVersion) return false;
-
-    const std::uint8_t preset = snapshot.getU8();
-    if (preset >= app.layoutPresets().size()) return false;
-    if (!app.apply(ui::LayoutSwitchEvent{preset})) return false;
-
-    app.groups().clear();
-    const std::uint32_t groupCount = snapshot.getU32();
-    if (groupCount > snapshot.remaining() / kGroupRecordMinBytes) return false;
-    const LayoutConfig& cfg = app.layoutPresets()[preset];
-    for (std::uint32_t i = 0; i < groupCount; ++i) {
-      TrajectoryGroup g;
+    preset = snapshot.getU8();
+    groups.resize(snapshot.getCount(kGroupRecordMinBytes));
+    for (TrajectoryGroup& g : groups) {
       g.id = snapshot.getU8();
       g.name = snapshot.getString();
       g.cellRect = snapshot.getRect();
       g.filter = ui::deserializeMetaFilter(snapshot);
       g.colorIndex = snapshot.getU8();
       g.pageOffset = snapshot.getU32();
-      if (!app.groups().define(g, cfg.cellsX, cfg.cellsY)) return false;
-      // define() copies; restore the page offset on the stored group.
-      app.groups().find(g.id)->pageOffset = g.pageOffset;
     }
-
-    app.apply(ui::BrushClearEvent{255});
-    const std::uint32_t strokeCount = snapshot.getU32();
-    if (strokeCount > snapshot.remaining() / kStrokeRecordBytes) return false;
-    for (std::uint32_t i = 0; i < strokeCount; ++i) {
-      ui::BrushStrokeEvent e;
+    strokes.resize(snapshot.getCount(kStrokeRecordBytes));
+    for (ui::BrushStrokeEvent& e : strokes) {
       e.brushIndex = snapshot.getU8();
       e.centerCm = snapshot.getVec2();
       e.radiusCm = snapshot.getF32();
-      if (!app.apply(e)) return false;
     }
-
-    ui::TimeWindowEvent window;
     window.t0 = snapshot.getF32();
     window.t1 = snapshot.getF32();
-    app.apply(window);
-    app.apply(ui::DepthOffsetEvent{snapshot.getF32()});
-    app.apply(ui::TimeScaleEvent{snapshot.getF32()});
-    app.refreshAssignment();
-    return true;
-  } catch (const net::MessageError&) {
+    depth.offsetCm = snapshot.getF32();
+    timeScale.cmPerSecond = snapshot.getF32();
+  } catch (const util::MessageError&) {
     return false;
   }
+
+  if (preset >= app.layoutPresets().size()) return false;
+  Session next = app.fork();
+  if (!next.apply(ui::LayoutSwitchEvent{preset})) return false;
+  next.groups().clear();
+  const LayoutConfig& cfg = next.layoutPresets()[preset];
+  for (const TrajectoryGroup& g : groups) {
+    if (!next.groups().define(g, cfg.cellsX, cfg.cellsY)) return false;
+    // define() copies; restore the page offset on the stored group.
+    next.groups().find(g.id)->pageOffset = g.pageOffset;
+  }
+  next.apply(ui::BrushClearEvent{255});
+  for (const ui::BrushStrokeEvent& e : strokes) {
+    if (!next.apply(e)) return false;
+  }
+  next.apply(window);
+  next.apply(depth);
+  next.apply(timeScale);
+  next.refreshAssignment();
+  app = std::move(next);
+  return true;
 }
 
 bool saveSnapshotFile(const Session& app, const std::string& path) {
-  const auto buf = saveSnapshot(app);
   // Write-temp + fsync + atomic-rename: a crash mid-save must never leave
   // a truncated snapshot at `path` (snapshots are how whole wall sessions
   // are restored — same commit protocol as the shard store).
-  const io::Status status = io::atomicWriteFile(
-      path, std::string_view(reinterpret_cast<const char*>(buf.bytes().data()),
-                             buf.size()));
+  const io::Status status =
+      io::atomicWriteFile(path, saveSnapshot(app).bytes());
   if (!status.isOk()) {
     SVQ_ERROR << "snapshot save to " << path << " failed: " << status.message();
     return false;
@@ -121,13 +127,8 @@ bool saveSnapshotFile(const Session& app, const std::string& path) {
 }
 
 bool restoreSnapshotFile(Session& app, const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const std::string data = ss.str();
-  std::vector<std::uint8_t> bytes(data.begin(), data.end());
-  return restoreSnapshot(app, net::MessageBuffer(std::move(bytes)));
+  auto bytes = io::readFile(path);
+  return bytes && restoreSnapshot(app, util::MessageBuffer(std::move(*bytes)));
 }
 
 }  // namespace svq::core

@@ -13,17 +13,19 @@
 #include <string>
 
 #include "core/session.h"
-#include "net/message.h"
+#include "util/message.h"
 
 namespace svq::core {
 
 /// Serializes the app's interactive state (not the dataset).
-net::MessageBuffer saveSnapshot(const Session& app);
+util::MessageBuffer saveSnapshot(const Session& app);
 
 /// Restores a snapshot into an app. The app must be bound to a dataset
 /// compatible with the one the snapshot was taken over (same trajectory
-/// count/ids); returns false on malformed input.
-bool restoreSnapshot(Session& app, net::MessageBuffer snapshot);
+/// count/ids); returns false on malformed input and then leaves the app
+/// untouched. A restore replaces the app with a restored fork, so its
+/// next frame re-evaluates the query in full.
+bool restoreSnapshot(Session& app, util::MessageBuffer snapshot);
 
 /// File convenience wrappers.
 bool saveSnapshotFile(const Session& app, const std::string& path);

@@ -65,6 +65,9 @@ void fillCircle(Canvas canvas, float cx, float cy, float r, Color c) {
   const int y1 = static_cast<int>(std::ceil(cy + r));
   const RectI box =
       RectI{x0, y0, x1 - x0 + 1, y1 - y0 + 1}.clipped(canvas.clipRect());
+  // A box clipped empty in x still has rows, whose row pointer would lie
+  // past the pixels.
+  if (box.empty()) return;
   const float r2 = r * r;
   for (int y = box.y; y < box.y + box.h; ++y) {
     // Every (x, y) in the clipped box is inside the canvas; write through

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <fstream>
-#include <sstream>
 
+#include "util/io.h"
 #include "util/logging.h"
 
 namespace svq::replay {
@@ -24,7 +23,7 @@ constexpr std::size_t kMinStepBytesV2 = kMinStepBytesV1 + 1;
 /// bit-flipped tenant field from driving replay-side allocations.
 constexpr std::uint32_t kMaxTenantIndex = 1u << 20;
 
-void putWorld(net::MessageBuffer& buf, const WorldSpec& w) {
+void putWorld(util::MessageBuffer& buf, const WorldSpec& w) {
   buf.putU64(w.datasetSeed);
   buf.putU32(w.trajectoryCount);
   buf.putI32(w.tile.pxW);
@@ -52,7 +51,7 @@ void putWorld(net::MessageBuffer& buf, const WorldSpec& w) {
   buf.putU32(w.progressive.somCols);
 }
 
-bool getWorld(net::MessageBuffer& buf, WorldSpec& w, std::uint32_t version) {
+bool getWorld(util::MessageBuffer& buf, WorldSpec& w, std::uint32_t version) {
   w.datasetSeed = buf.getU64();
   w.trajectoryCount = buf.getU32();
   w.tile.pxW = buf.getI32();
@@ -161,8 +160,8 @@ Recording Recording::tenantSlice(std::uint32_t tenant) const {
   return slice;
 }
 
-net::MessageBuffer Recording::serialize() const {
-  net::MessageBuffer buf;
+util::MessageBuffer Recording::serialize() const {
+  util::MessageBuffer buf;
   buf.putU32(kMagic);
   buf.putU32(kVersion);
   putWorld(buf, world);
@@ -183,7 +182,7 @@ net::MessageBuffer Recording::serialize() const {
   return buf;
 }
 
-std::optional<Recording> Recording::deserialize(net::MessageBuffer buf) {
+std::optional<Recording> Recording::deserialize(util::MessageBuffer buf) {
   try {
     buf.rewind();
     if (buf.getU32() != kMagic) return std::nullopt;
@@ -191,12 +190,10 @@ std::optional<Recording> Recording::deserialize(net::MessageBuffer buf) {
     if (version < 1 || version > kVersion) return std::nullopt;
     Recording rec;
     if (!getWorld(buf, rec.world, version)) return std::nullopt;
-    const std::uint32_t n = buf.getU32();
     // Payload-bounded count: a hostile length field cannot exceed what
     // the remaining bytes could possibly encode.
-    const std::size_t minStepBytes =
-        version >= 2 ? kMinStepBytesV2 : kMinStepBytesV1;
-    if (n > buf.remaining() / minStepBytes) return std::nullopt;
+    const std::uint32_t n =
+        buf.getCount(version >= 2 ? kMinStepBytesV2 : kMinStepBytesV1);
     const std::uint8_t maxKind = static_cast<std::uint8_t>(
         version >= 3 ? StepKind::kRefine
                      : (version >= 2 ? StepKind::kSubmit : StepKind::kClose));
@@ -238,31 +235,23 @@ std::optional<Recording> Recording::deserialize(net::MessageBuffer buf) {
     }
     if (buf.remaining() != 0) return std::nullopt;  // trailing garbage
     return rec;
-  } catch (const net::MessageError&) {
+  } catch (const util::MessageError&) {
     return std::nullopt;
   }
 }
 
 bool Recording::saveBinary(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    SVQ_ERROR << "cannot open " << path << " for writing";
-    return false;
+  const io::Status status = io::atomicWriteFile(path, serialize().bytes());
+  if (!status.isOk()) {
+    SVQ_ERROR << "saving " << path << " failed: " << status.message();
   }
-  const auto buf = serialize();
-  out.write(reinterpret_cast<const char*>(buf.bytes().data()),
-            static_cast<std::streamsize>(buf.size()));
-  return static_cast<bool>(out);
+  return status.isOk();
 }
 
 std::optional<Recording> Recording::loadBinary(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const std::string data = ss.str();
-  std::vector<std::uint8_t> bytes(data.begin(), data.end());
-  return deserialize(net::MessageBuffer(std::move(bytes)));
+  auto bytes = io::readFile(path);
+  if (!bytes) return std::nullopt;
+  return deserialize(util::MessageBuffer(std::move(*bytes)));
 }
 
 // --- Recorder ----------------------------------------------------------------

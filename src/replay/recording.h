@@ -17,7 +17,7 @@
 //     event stream as core::SessionService applied it.
 //
 // The container is a versioned binary format (magic "SVQR") over
-// net::MessageBuffer; deserialize() is hardened the way the SVQT parser
+// util::MessageBuffer; deserialize() is hardened the way the SVQT parser
 // is: payload-bounded counts, finite-timestamp validation, typed
 // rejection (nullopt) instead of crashes on truncated or bit-flipped
 // input (tests/ui_script_fuzz_test.cpp fuzzes it).
@@ -37,7 +37,7 @@
 #include <vector>
 
 #include "core/sessionservice.h"
-#include "net/message.h"
+#include "util/message.h"
 #include "ui/events.h"
 #include "ui/script.h"
 #include "wall/wall.h"
@@ -223,11 +223,11 @@ class Recording {
   Recording tenantSlice(std::uint32_t tenant) const;
 
   // --- serialization -----------------------------------------------------
-  net::MessageBuffer serialize() const;
+  util::MessageBuffer serialize() const;
   /// Hardened parse: rejects bad magic/version, payload-driven counts,
   /// non-finite timestamps and truncation with nullopt — never a crash,
   /// never an allocation sized by a corrupt count field.
-  static std::optional<Recording> deserialize(net::MessageBuffer buf);
+  static std::optional<Recording> deserialize(util::MessageBuffer buf);
 
   bool saveBinary(const std::string& path) const;
   static std::optional<Recording> loadBinary(const std::string& path);

@@ -11,21 +11,20 @@
 
 #include <optional>
 #include <string>
-#include <string_view>
 
 #include "traj/dataset.h"
+#include "util/message.h"
 
 namespace svq::traj {
 
 /// Serializes the dataset to the binary format.
-std::string toBinary(const TrajectoryDataset& dataset);
+util::MessageBuffer toBinary(const TrajectoryDataset& dataset);
 
-/// Parses the binary format; nullopt on wrong magic/version/truncation or
-/// count fields larger than the payload could possibly hold (the parser
-/// never allocates more than O(bytes.size())). The view overload lets the
-/// shard store decode a slice of a larger file without copying.
-std::optional<TrajectoryDataset> fromBinary(std::string_view bytes);
-std::optional<TrajectoryDataset> fromBinary(const std::string& bytes);
+/// Parses the binary format; nullopt on wrong magic/version/truncation,
+/// trailing bytes, or count fields larger than the payload could possibly
+/// hold (the parser never allocates more than O(bytes.size())). Takes the
+/// buffer by value so a caller that read it can move it in uncopied.
+std::optional<TrajectoryDataset> fromBinary(util::MessageBuffer bytes);
 
 /// File convenience wrappers.
 bool saveBinary(const TrajectoryDataset& dataset, const std::string& path);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <list>
@@ -14,6 +13,7 @@
 #include "traj/io_binary.h"
 #include "traj/resample.h"
 #include "util/logging.h"
+#include "util/message.h"
 #include "util/threadpool.h"
 
 namespace svq::traj {
@@ -46,34 +46,49 @@ std::size_t footerEntryBytes(std::uint32_t version) {
 // tailCrc (over the preceding 32 bytes), magic.
 constexpr std::size_t kTailBytes = 4 + 8 + 8 + 8 + 4 + 4 + 4;
 
-void putU32(std::string& out, std::uint32_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof v);
-}
-void putU64(std::string& out, std::uint64_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof v);
-}
-void putF32(std::string& out, float v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof v);
+/// Reads `n` bytes at `offset` into `out`; false when they are not all
+/// there (the stream's eof bit then tells a short file from an IO error).
+bool readAt(std::ifstream& in, std::uint64_t offset, std::size_t n,
+            std::vector<std::uint8_t>& out) {
+  out.assign(n, 0);
+  in.clear();
+  in.seekg(static_cast<std::streamoff>(offset));
+  in.read(reinterpret_cast<char*>(out.data()), static_cast<std::streamsize>(n));
+  return static_cast<bool>(in);
 }
 
-/// Bounded little-endian reader over a byte buffer.
-class BufReader {
- public:
-  explicit BufReader(std::string_view bytes) : bytes_(bytes) {}
-  bool u32(std::uint32_t& v) { return raw(&v, sizeof v); }
-  bool u64(std::uint64_t& v) { return raw(&v, sizeof v); }
-  bool f32(float& v) { return raw(&v, sizeof v); }
+io::Status readFailure(const std::ifstream& in, std::int64_t shard) {
+  return in.eof() ? io::Status::truncated(shard) : io::Status::ioError(shard);
+}
 
- private:
-  bool raw(void* p, std::size_t n) {
-    if (n > bytes_.size() - cursor_) return false;
-    std::memcpy(p, bytes_.data() + cursor_, n);
-    cursor_ += n;
-    return true;
-  }
-  std::string_view bytes_;
-  std::size_t cursor_ = 0;
-};
+void writeAll(std::ofstream& out, const util::MessageBuffer& buf) {
+  out.write(reinterpret_cast<const char*>(buf.bytes().data()),
+            static_cast<std::streamsize>(buf.size()));
+}
+
+/// Seals everything written so far with its CRC32C.
+void putCrc(util::MessageBuffer& buf) {
+  buf.putU32(io::crc32c(buf.bytes().data(), buf.size()));
+}
+
+/// True when the CRC32C that follows `bytes` leading bytes of `buf` (just
+/// read by the caller) matches them.
+bool crcMatches(const util::MessageBuffer& buf, std::size_t bytes,
+                std::uint32_t crc) {
+  return crc == io::crc32c(buf.bytes().data(), bytes);
+}
+
+/// An invalid box is stored as (0, 0, emptyMax, emptyMax).
+void putBox(util::MessageBuffer& buf, const AABB2& box, float emptyMax) {
+  const bool valid = box.valid();
+  buf.putVec2(valid ? box.min : Vec2{0.0f, 0.0f});
+  buf.putVec2(valid ? box.max : Vec2{emptyMax, emptyMax});
+}
+
+AABB2 getBox(util::MessageBuffer& buf) {
+  const Vec2 min = buf.getVec2();
+  return AABB2::of(min, buf.getVec2());
+}
 
 /// Decoded-shard memory estimate used for the cache budget.
 std::uint64_t residentBytesEstimate(const ShardInfo& info) {
@@ -81,83 +96,100 @@ std::uint64_t residentBytesEstimate(const ShardInfo& info) {
          static_cast<std::uint64_t>(info.trajectoryCount) * sizeof(Trajectory);
 }
 
-std::string encodeFileHeader(float radiusCm, std::uint32_t shardCapacity,
-                             std::uint32_t version) {
-  std::string header;
-  putU32(header, kShardMagic);
-  putU32(header, version);
-  putF32(header, radiusCm);
-  putU32(header, shardCapacity);
-  putU32(header, io::crc32c(header.data(), header.size()));
+util::MessageBuffer encodeFileHeader(float radiusCm,
+                                     std::uint32_t shardCapacity,
+                                     std::uint32_t version) {
+  util::MessageBuffer header;
+  header.putU32(kShardMagic);
+  header.putU32(version);
+  header.putF32(radiusCm);
+  header.putU32(shardCapacity);
+  putCrc(header);
   return header;
 }
 
-std::string encodeBlockHeader(std::uint64_t byteSize, std::uint32_t payloadCrc) {
-  std::string block;
-  putU32(block, kBlockMagic);
-  putU64(block, byteSize);
-  putU32(block, payloadCrc);
-  putU32(block, io::crc32c(block.data(), block.size()));
+struct FileHeader {
+  std::uint32_t version = 0;
+  float radiusCm = 0.0f;
+  std::uint32_t shardCapacity = 0;
+};
+
+/// The file header read from its kHeaderBytes bytes; nullopt when its
+/// magic, version, fields or CRC are bad. (CRC-sealed: a bit flip in e.g.
+/// the arena radius must not yield a store that opens with silently wrong
+/// geometry.)
+std::optional<FileHeader> decodeFileHeader(util::MessageBuffer bytes) {
+  FileHeader h;
+  const std::uint32_t magic = bytes.getU32();
+  h.version = bytes.getU32();
+  h.radiusCm = bytes.getF32();
+  h.shardCapacity = bytes.getU32();
+  if (magic != kShardMagic || !supportedVersion(h.version) ||
+      h.radiusCm <= 0.0f || h.shardCapacity == 0 ||
+      !crcMatches(bytes, kHeaderBytes - 4, bytes.getU32())) {
+    return std::nullopt;
+  }
+  return h;
+}
+
+util::MessageBuffer encodeBlockHeader(std::uint64_t byteSize,
+                                      std::uint32_t payloadCrc) {
+  util::MessageBuffer block;
+  block.putU32(kBlockMagic);
+  block.putU64(byteSize);
+  block.putU32(payloadCrc);
+  putCrc(block);
   return block;
 }
 
-/// Validated block-header fields; false on bad magic or CRC.
-bool decodeBlockHeader(std::string_view bytes, std::uint64_t& byteSize,
+/// Validated block-header fields from its kBlockHeaderBytes bytes; false
+/// on bad magic or CRC.
+bool decodeBlockHeader(util::MessageBuffer bytes, std::uint64_t& byteSize,
                        std::uint32_t& payloadCrc) {
-  if (bytes.size() < kBlockHeaderBytes) return false;
-  BufReader r(bytes);
-  std::uint32_t magic = 0, headerCrc = 0;
-  if (!r.u32(magic) || magic != kBlockMagic) return false;
-  if (!r.u64(byteSize) || !r.u32(payloadCrc) || !r.u32(headerCrc)) return false;
-  return headerCrc == io::crc32c(bytes.data(), kBlockHeaderBytes - 4);
+  const std::uint32_t magic = bytes.getU32();
+  byteSize = bytes.getU64();
+  payloadCrc = bytes.getU32();
+  return magic == kBlockMagic &&
+         crcMatches(bytes, kBlockHeaderBytes - 4, bytes.getU32());
 }
 
 /// Footer + tail for a finished sequence of shards. For v3, `summaries`
-/// must parallel `infos`; for v2 it is ignored.
-std::string encodeFooterAndTail(const std::vector<ShardInfo>& infos,
-                                const std::vector<ShardSummary>& summaries,
-                                std::uint32_t version,
-                                std::uint64_t trajectoryCount,
-                                std::uint64_t totalPoints) {
-  std::string footer;
+/// must parallel `infos`; for v2 it is ignored. Appended to `out`.
+void encodeFooterAndTail(util::MessageBuffer& out,
+                         const std::vector<ShardInfo>& infos,
+                         const std::vector<ShardSummary>& summaries,
+                         std::uint32_t version, std::uint64_t trajectoryCount,
+                         std::uint64_t totalPoints) {
+  util::MessageBuffer footer;
   for (std::size_t i = 0; i < infos.size(); ++i) {
     const ShardInfo& info = infos[i];
-    putU64(footer, info.offset);
-    putU64(footer, info.byteSize);
-    putU64(footer, info.firstGlobalIndex);
-    putU64(footer, info.pointCount);
-    putU32(footer, info.trajectoryCount);
-    putU32(footer, info.payloadCrc);
-    const bool valid = info.bounds.valid();
-    putF32(footer, valid ? info.bounds.min.x : 0.0f);
-    putF32(footer, valid ? info.bounds.min.y : 0.0f);
-    putF32(footer, valid ? info.bounds.max.x : 0.0f);
-    putF32(footer, valid ? info.bounds.max.y : 0.0f);
-    putF32(footer, info.maxDuration);
+    footer.putU64(info.offset);
+    footer.putU64(info.byteSize);
+    footer.putU64(info.firstGlobalIndex);
+    footer.putU64(info.pointCount);
+    footer.putU32(info.trajectoryCount);
+    footer.putU32(info.payloadCrc);
+    putBox(footer, info.bounds, 0.0f);
+    footer.putF32(info.maxDuration);
     if (version >= kShardFormatCurrent) {
       const ShardSummary& summary = summaries[i];
-      for (const std::uint64_t word : summary.occupancy) putU64(footer, word);
-      const bool envValid = summary.envelope.valid();
-      putF32(footer, envValid ? summary.envelope.min.x : 0.0f);
-      putF32(footer, envValid ? summary.envelope.min.y : 0.0f);
-      putF32(footer, envValid ? summary.envelope.max.x : -1.0f);
-      putF32(footer, envValid ? summary.envelope.max.y : -1.0f);
-      putF32(footer, summary.tMin);
-      putF32(footer, summary.tMax);
+      for (const std::uint64_t word : summary.occupancy) footer.putU64(word);
+      putBox(footer, summary.envelope, -1.0f);
+      footer.putF32(summary.tMin);
+      footer.putF32(summary.tMax);
     }
   }
-  const std::uint32_t footerCrc = io::crc32c(footer.data(), footer.size());
 
-  std::string tail;
-  putU32(tail, static_cast<std::uint32_t>(infos.size()));
-  putU64(tail, trajectoryCount);
-  putU64(tail, totalPoints);
-  putU64(tail,
-         static_cast<std::uint64_t>(infos.size()) * footerEntryBytes(version));
-  putU32(tail, footerCrc);
-  putU32(tail, io::crc32c(tail.data(), tail.size()));
-  putU32(tail, kFooterMagic);
-  return footer + tail;
+  util::MessageBuffer tail;
+  tail.putU32(static_cast<std::uint32_t>(infos.size()));
+  tail.putU64(trajectoryCount);
+  tail.putU64(totalPoints);
+  tail.putU64(footer.size());
+  tail.putU32(io::crc32c(footer.bytes().data(), footer.size()));
+  putCrc(tail);
+  tail.putU32(kFooterMagic);
+  out.putRaw(footer.bytes());
+  out.putRaw(tail.bytes());
 }
 
 /// Summarizes a decoded shard payload into its ShardInfo (offset,
@@ -212,9 +244,9 @@ ShardStoreWriter::ShardStoreWriter(const std::string& path, ArenaSpec arena,
               << " for writing";
     return;
   }
-  const std::string header = encodeFileHeader(
-      arena.radiusCm, impl_->shardCapacity, impl_->formatVersion);
-  impl_->out.write(header.data(), static_cast<std::streamsize>(header.size()));
+  writeAll(impl_->out, encodeFileHeader(arena.radiusCm,
+                                        impl_->shardCapacity,
+                                        impl_->formatVersion));
   impl_->cursor = kHeaderBytes;
   ok_ = static_cast<bool>(impl_->out);
 }
@@ -239,14 +271,13 @@ void ShardStoreWriter::flushShard() {
       totalTrajectories_ - static_cast<std::uint64_t>(impl_->buffer.size());
   summarizePayload(impl_->buffer, info);
   impl_->summaries.push_back(computeShardSummary(impl_->buffer));
-  const std::string blob = toBinary(impl_->buffer);
+  const util::MessageBuffer blob = toBinary(impl_->buffer);
   info.byteSize = blob.size();
-  info.payloadCrc = io::crc32c(blob.data(), blob.size());
+  info.payloadCrc = io::crc32c(blob.bytes().data(), blob.size());
   info.offset = impl_->cursor + kBlockHeaderBytes;
-  const std::string block = encodeBlockHeader(info.byteSize, info.payloadCrc);
-  impl_->out.write(block.data(), static_cast<std::streamsize>(block.size()));
-  impl_->out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-  impl_->cursor += block.size() + blob.size();
+  writeAll(impl_->out, encodeBlockHeader(info.byteSize, info.payloadCrc));
+  writeAll(impl_->out, blob);
+  impl_->cursor += kBlockHeaderBytes + blob.size();
   impl_->totalPoints += info.pointCount;
   impl_->infos.push_back(info);
   impl_->buffer = TrajectoryDataset(impl_->arena);
@@ -256,12 +287,11 @@ void ShardStoreWriter::flushShard() {
 bool ShardStoreWriter::finish() {
   if (!ok_ || finished_) return ok_ && finished_;
   flushShard();
-  const std::string footerAndTail =
-      encodeFooterAndTail(impl_->infos, impl_->summaries,
-                          impl_->formatVersion, totalTrajectories_,
-                          impl_->totalPoints);
-  impl_->out.write(footerAndTail.data(),
-                   static_cast<std::streamsize>(footerAndTail.size()));
+  util::MessageBuffer footerAndTail;
+  encodeFooterAndTail(footerAndTail, impl_->infos, impl_->summaries,
+                      impl_->formatVersion, totalTrajectories_,
+                      impl_->totalPoints);
+  writeAll(impl_->out, footerAndTail);
   impl_->cursor += footerAndTail.size();
   impl_->out.flush();
   ok_ = static_cast<bool>(impl_->out);
@@ -353,50 +383,38 @@ struct ShardStore::Impl {
 
   /// Reads + CRC-verifies one shard payload with bounded retry for
   /// transient faults. Mutex must be held (the ifstream is shared).
-  io::Status readPayloadLocked(std::size_t shard, std::string& blob) const {
+  io::Status readPayloadLocked(std::size_t shard,
+                               std::vector<std::uint8_t>& blob) const {
     const ShardInfo& info = infos[shard];
+    const auto id = static_cast<std::int64_t>(shard);
     for (int attempt = 0;; ++attempt) {
-      blob.assign(info.byteSize, '\0');
       io::Status status = io::Status::ok();
-      in.clear();
       // Cross-check the on-disk block header against the footer entry:
       // a store stitched from mismatched pieces must not parse as valid.
-      std::string block(kBlockHeaderBytes, '\0');
-      in.seekg(static_cast<std::streamoff>(info.offset - kBlockHeaderBytes));
-      in.read(block.data(), static_cast<std::streamsize>(block.size()));
-      if (!in) {
-        status = in.eof() ? io::Status::truncated(
-                                static_cast<std::int64_t>(shard))
-                          : io::Status::ioError(
-                                static_cast<std::int64_t>(shard));
-      } else {
-        std::uint64_t blockByteSize = 0;
-        std::uint32_t blockCrc = 0;
-        if (!decodeBlockHeader(block, blockByteSize, blockCrc) ||
-            blockByteSize != info.byteSize || blockCrc != info.payloadCrc) {
-          status = io::Status::corrupt(static_cast<std::int64_t>(shard));
-        }
-      }
-      if (status.isOk()) {
-        in.clear();
-        in.seekg(static_cast<std::streamoff>(info.offset));
-        in.read(blob.data(), static_cast<std::streamsize>(blob.size()));
-        if (!in) {
-          status = in.eof()
-                       ? io::Status::truncated(static_cast<std::int64_t>(shard))
-                       : io::Status::ioError(static_cast<std::int64_t>(shard));
-        }
+      std::vector<std::uint8_t> block;
+      std::uint64_t blockByteSize = 0;
+      std::uint32_t blockCrc = 0;
+      if (!readAt(in, info.offset - kBlockHeaderBytes, kBlockHeaderBytes,
+                  block)) {
+        status = readFailure(in, id);
+      } else if (!decodeBlockHeader(util::MessageBuffer(std::move(block)),
+                                    blockByteSize, blockCrc) ||
+                 blockByteSize != info.byteSize ||
+                 blockCrc != info.payloadCrc) {
+        status = io::Status::corrupt(id);
+      } else if (!readAt(in, info.offset, info.byteSize, blob)) {
+        status = readFailure(in, id);
       }
       if (status.isOk() && options.faultInjector != nullptr) {
         status = options.faultInjector->onRead(shard, attempt, blob);
       }
       if (status.isOk() && blob.size() != info.byteSize) {
-        status = io::Status::truncated(static_cast<std::int64_t>(shard));
+        status = io::Status::truncated(id);
       }
       if (status.isOk() &&
           io::crc32c(blob.data(), blob.size()) != info.payloadCrc) {
         crcFailures->add();
-        status = io::Status::corrupt(static_cast<std::int64_t>(shard));
+        status = io::Status::corrupt(id);
       }
       if (status.isOk()) return status;
       if (status.isIoError()) ioErrors->add();
@@ -454,83 +472,60 @@ std::optional<ShardStore> ShardStore::open(const std::string& path,
     return std::nullopt;
   }
 
-  // Header (CRC-sealed: a bit flip in e.g. the arena radius must not
-  // yield a store that opens with silently wrong geometry).
-  std::string headerBytes(kHeaderBytes, '\0');
-  s.in.seekg(0);
-  s.in.read(headerBytes.data(), kHeaderBytes);
-  BufReader header(headerBytes);
-  std::uint32_t magic = 0, version = 0, headerCrc = 0;
-  float radius = 0.0f;
-  if (!header.u32(magic) || magic != kShardMagic) return std::nullopt;
-  if (!header.u32(version) || !supportedVersion(version)) return std::nullopt;
-  if (!header.f32(radius) || radius <= 0.0f) return std::nullopt;
-  if (!header.u32(s.shardCapacity) || s.shardCapacity == 0) return std::nullopt;
-  if (!header.u32(headerCrc) ||
-      headerCrc != io::crc32c(headerBytes.data(), kHeaderBytes - 4)) {
-    return std::nullopt;
-  }
-  s.arena = ArenaSpec{radius};
-  s.formatVersion = version;
+  // Header, then tail (CRC-sealed), then footer (CRC checked against the
+  // tail). Each buffer is read at its exact size, so the codec never runs
+  // past one; a bad field or CRC rejects the store.
+  std::vector<std::uint8_t> bytes;
+  readAt(s.in, 0, kHeaderBytes, bytes);
+  const std::optional<FileHeader> header =
+      decodeFileHeader(util::MessageBuffer(std::move(bytes)));
+  if (!header) return std::nullopt;
+  s.arena = ArenaSpec{header->radiusCm};
+  s.shardCapacity = header->shardCapacity;
+  s.formatVersion = header->version;
 
-  // Tail (CRC-sealed), then footer (CRC checked against the tail).
-  std::string tailBytes(kTailBytes, '\0');
-  s.in.seekg(static_cast<std::streamoff>(fileSize - kTailBytes));
-  s.in.read(tailBytes.data(), kTailBytes);
-  BufReader tail(tailBytes);
-  std::uint32_t shardCount = 0, footerCrc = 0, tailCrc = 0, tailMagic = 0;
-  std::uint64_t footerBytes = 0;
-  if (!tail.u32(shardCount) || !tail.u64(s.trajectoryCount) ||
-      !tail.u64(s.totalPoints) || !tail.u64(footerBytes) ||
-      !tail.u32(footerCrc) || !tail.u32(tailCrc) || !tail.u32(tailMagic) ||
-      tailMagic != kFooterMagic ||
-      tailCrc != io::crc32c(tailBytes.data(), kTailBytes - 8)) {
+  readAt(s.in, fileSize - kTailBytes, kTailBytes, bytes);
+  util::MessageBuffer tail(std::move(bytes));
+  const std::uint32_t shardCount = tail.getU32();
+  s.trajectoryCount = tail.getU64();
+  s.totalPoints = tail.getU64();
+  const std::uint64_t footerBytes = tail.getU64();
+  const std::uint32_t footerCrc = tail.getU32();
+  if (!crcMatches(tail, kTailBytes - 8, tail.getU32()) ||
+      tail.getU32() != kFooterMagic) {
     return std::nullopt;
   }
   if (footerBytes != static_cast<std::uint64_t>(shardCount) *
-                         footerEntryBytes(version) ||
+                         footerEntryBytes(s.formatVersion) ||
       kHeaderBytes + footerBytes + kTailBytes > fileSize) {
     return std::nullopt;
   }
 
-  std::string footerBuf(footerBytes, '\0');
-  s.in.seekg(static_cast<std::streamoff>(fileSize - kTailBytes - footerBytes));
-  s.in.read(footerBuf.data(), static_cast<std::streamsize>(footerBytes));
-  if (!s.in) {
+  if (!readAt(s.in, fileSize - kTailBytes - footerBytes, footerBytes, bytes)) {
     status = io::Status::ioError();
     return std::nullopt;
   }
-  if (io::crc32c(footerBuf.data(), footerBuf.size()) != footerCrc) {
-    return std::nullopt;
-  }
-  BufReader footer(footerBuf);
+  util::MessageBuffer footer(std::move(bytes));
+  if (!crcMatches(footer, footer.size(), footerCrc)) return std::nullopt;
   s.infos.resize(shardCount);
   s.summaries.assign(shardCount, std::nullopt);
   std::uint64_t expectedFirst = 0;
   for (std::size_t shardIdx = 0; shardIdx < shardCount; ++shardIdx) {
     ShardInfo& info = s.infos[shardIdx];
-    float minX = 0, minY = 0, maxX = 0, maxY = 0;
-    if (!footer.u64(info.offset) || !footer.u64(info.byteSize) ||
-        !footer.u64(info.firstGlobalIndex) || !footer.u64(info.pointCount) ||
-        !footer.u32(info.trajectoryCount) || !footer.u32(info.payloadCrc) ||
-        !footer.f32(minX) || !footer.f32(minY) || !footer.f32(maxX) ||
-        !footer.f32(maxY) || !footer.f32(info.maxDuration)) {
-      return std::nullopt;
-    }
-    info.bounds = AABB2::of({minX, minY}, {maxX, maxY});
-    if (version >= kShardFormatCurrent) {
+    info.offset = footer.getU64();
+    info.byteSize = footer.getU64();
+    info.firstGlobalIndex = footer.getU64();
+    info.pointCount = footer.getU64();
+    info.trajectoryCount = footer.getU32();
+    info.payloadCrc = footer.getU32();
+    info.bounds = getBox(footer);
+    info.maxDuration = footer.getF32();
+    if (s.formatVersion >= kShardFormatCurrent) {
       ShardSummary summary;
-      float envMinX = 0, envMinY = 0, envMaxX = 0, envMaxY = 0;
-      bool parsed = true;
-      for (std::uint64_t& word : summary.occupancy) {
-        parsed = parsed && footer.u64(word);
-      }
-      if (!parsed || !footer.f32(envMinX) || !footer.f32(envMinY) ||
-          !footer.f32(envMaxX) || !footer.f32(envMaxY) ||
-          !footer.f32(summary.tMin) || !footer.f32(summary.tMax)) {
-        return std::nullopt;
-      }
-      summary.envelope = AABB2::of({envMinX, envMinY}, {envMaxX, envMaxY});
+      for (std::uint64_t& word : summary.occupancy) word = footer.getU64();
+      summary.envelope = getBox(footer);
+      summary.tMin = footer.getF32();
+      summary.tMax = footer.getF32();
       // An implausible summary (CRC-valid but semantically impossible,
       // e.g. from a stitched file) is dropped, not trusted: the shard
       // stays summary-less and the query path must treat it as
@@ -541,9 +536,12 @@ std::optional<ShardStore> ShardStore::open(const std::string& path,
       }
     }
     // Payloads must lie between header and footer (leaving room for their
-    // block headers) and tile the global index space in order.
+    // block headers) and tile the global index space in order. Compared
+    // without adding the two fields, which could wrap.
+    const std::uint64_t payloadsEnd = fileSize - kTailBytes - footerBytes;
     if (info.offset < kHeaderBytes + kBlockHeaderBytes ||
-        info.offset + info.byteSize > fileSize - kTailBytes - footerBytes ||
+        info.offset > payloadsEnd ||
+        info.byteSize > payloadsEnd - info.offset ||
         info.firstGlobalIndex != expectedFirst || info.trajectoryCount == 0) {
       return std::nullopt;
     }
@@ -614,7 +612,7 @@ std::shared_ptr<const TrajectoryDataset> ShardStore::shard(
   if (!s.shardStatus[shard].isOk()) return nullptr;  // quarantined
   s.misses->add();
   const ShardInfo& info = s.infos[shard];
-  std::string blob;
+  std::vector<std::uint8_t> blob;
   const io::Status readStatus = s.readPayloadLocked(shard, blob);
   if (!readStatus.isOk()) {
     SVQ_ERROR << "shardstore: " << readStatus.message() << " reading shard "
@@ -622,7 +620,7 @@ std::shared_ptr<const TrajectoryDataset> ShardStore::shard(
     s.quarantineLocked(shard, readStatus);
     return nullptr;
   }
-  auto decoded = fromBinary(std::string_view(blob));
+  auto decoded = fromBinary(util::MessageBuffer(std::move(blob)));
   if (!decoded) {
     SVQ_ERROR << "shardstore: corrupt payload for shard " << shard;
     s.quarantineLocked(
@@ -681,7 +679,7 @@ ShardVerifyReport ShardStore::verify() const {
     ++report.shardsChecked;
     io::Status status = s.shardStatus[shard];
     if (status.isOk()) {
-      std::string blob;
+      std::vector<std::uint8_t> blob;
       status = s.readPayloadLocked(shard, blob);
       if (!status.isOk()) s.quarantineLocked(shard, status);
     }
@@ -755,17 +753,12 @@ bool repairShardStore(const std::string& path, RepairReport* report) {
     out.status = io::Status::truncated();
     return false;
   }
-  std::string headerBytes(kHeaderBytes, '\0');
-  in.seekg(0);
-  in.read(headerBytes.data(), kHeaderBytes);
-  BufReader header(headerBytes);
-  std::uint32_t magic = 0, version = 0, shardCapacity = 0, headerCrc = 0;
-  float radius = 0.0f;
-  if (!in || !header.u32(magic) || magic != kShardMagic ||
-      !header.u32(version) || !supportedVersion(version) ||
-      !header.f32(radius) || radius <= 0.0f || !header.u32(shardCapacity) ||
-      shardCapacity == 0 || !header.u32(headerCrc) ||
-      headerCrc != io::crc32c(headerBytes.data(), kHeaderBytes - 4)) {
+  std::vector<std::uint8_t> bytes;
+  const std::optional<FileHeader> header =
+      readAt(in, 0, kHeaderBytes, bytes)
+          ? decodeFileHeader(util::MessageBuffer(std::move(bytes)))
+          : std::nullopt;
+  if (!header) {
     out.status = io::Status::corrupt();
     return false;
   }
@@ -773,39 +766,42 @@ bool repairShardStore(const std::string& path, RepairReport* report) {
   // Scan the self-delimiting shard blocks from the front; the longest
   // prefix of shards whose headers, CRCs and payload decodes all verify
   // is the committed prefix. Everything after it (a torn shard, a stale
-  // footer) is discarded.
+  // footer) is discarded. The committed blocks are copied into the
+  // rewritten store as they verify. It is always written as the current
+  // format: repair decodes every surviving payload anyway, so a v2 input
+  // picks up its spatial summaries here.
+  util::MessageBuffer repaired = encodeFileHeader(
+      header->radiusCm, header->shardCapacity, kShardFormatCurrent);
   std::vector<ShardInfo> infos;
   std::vector<ShardSummary> summaries;
-  std::vector<std::pair<std::string, std::string>> blocks;  // header, payload
   std::uint64_t cursor = kHeaderBytes;
   std::uint64_t expectedFirst = 0;
   std::uint64_t totalPoints = 0;
   while (cursor + kBlockHeaderBytes <= fileSize) {
-    std::string block(kBlockHeaderBytes, '\0');
-    in.clear();
-    in.seekg(static_cast<std::streamoff>(cursor));
-    in.read(block.data(), static_cast<std::streamsize>(block.size()));
-    if (!in) break;
     std::uint64_t byteSize = 0;
     std::uint32_t payloadCrc = 0;
-    if (!decodeBlockHeader(block, byteSize, payloadCrc)) break;
-    if (cursor + kBlockHeaderBytes + byteSize > fileSize) break;  // torn
-    std::string blob(byteSize, '\0');
-    in.read(blob.data(), static_cast<std::streamsize>(blob.size()));
-    if (!in) break;
-    if (io::crc32c(blob.data(), blob.size()) != payloadCrc) break;
-    const auto decoded = fromBinary(std::string_view(blob));
+    if (!readAt(in, cursor, kBlockHeaderBytes, bytes) ||
+        !decodeBlockHeader(util::MessageBuffer(std::move(bytes)), byteSize,
+                           payloadCrc) ||
+        byteSize > fileSize - cursor - kBlockHeaderBytes ||  // torn
+        !readAt(in, cursor + kBlockHeaderBytes, byteSize, bytes) ||
+        io::crc32c(bytes.data(), bytes.size()) != payloadCrc) {
+      break;
+    }
+    const auto decoded = fromBinary(util::MessageBuffer(bytes));
     if (!decoded || decoded->empty()) break;
     ShardInfo info;
     info.firstGlobalIndex = expectedFirst;
     info.byteSize = byteSize;
     info.payloadCrc = payloadCrc;
+    info.offset = repaired.size() + kBlockHeaderBytes;
     summarizePayload(*decoded, info);
     summaries.push_back(computeShardSummary(*decoded));
     expectedFirst += info.trajectoryCount;
     totalPoints += info.pointCount;
     infos.push_back(info);
-    blocks.emplace_back(std::move(block), std::move(blob));
+    repaired.putRaw(encodeBlockHeader(byteSize, payloadCrc).bytes());
+    repaired.putRaw(bytes);
     cursor += kBlockHeaderBytes + byteSize;
   }
   in.close();
@@ -815,21 +811,10 @@ bool repairShardStore(const std::string& path, RepairReport* report) {
 
   // Rewrite the store from the committed prefix (recomputed footer/tail)
   // with the same write-temp + atomic-rename discipline as the writer,
-  // so a crash mid-repair cannot make things worse. Always rewritten as
-  // the current format: repair decoded every surviving payload anyway,
-  // so a v2 input picks up its spatial summaries here.
-  std::string repaired =
-      encodeFileHeader(radius, shardCapacity, kShardFormatCurrent);
-  std::uint64_t offset = kHeaderBytes;
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    infos[i].offset = offset + kBlockHeaderBytes;
-    repaired += blocks[i].first;
-    repaired += blocks[i].second;
-    offset += blocks[i].first.size() + blocks[i].second.size();
-  }
-  repaired += encodeFooterAndTail(infos, summaries, kShardFormatCurrent,
-                                  expectedFirst, totalPoints);
-  out.status = io::atomicWriteFile(path, repaired);
+  // so a crash mid-repair cannot make things worse.
+  encodeFooterAndTail(repaired, infos, summaries, kShardFormatCurrent,
+                      expectedFirst, totalPoints);
+  out.status = io::atomicWriteFile(path, repaired.bytes());
   if (!out.status.isOk()) return false;
   SVQ_INFO << "shardstore: repaired " << path << " to " << infos.size()
            << " shards / " << expectedFirst << " trajectories ("

@@ -17,15 +17,15 @@ enum class EventKind : std::uint8_t {
 };
 
 template <typename T>
-void putOptional(net::MessageBuffer& buf, const std::optional<T>& v,
-                 void (*put)(net::MessageBuffer&, T)) {
+void putOptional(util::MessageBuffer& buf, const std::optional<T>& v,
+                 void (*put)(util::MessageBuffer&, T)) {
   buf.putBool(v.has_value());
   if (v) put(buf, *v);
 }
 
 template <typename T>
-std::optional<T> getOptional(net::MessageBuffer& buf,
-                             T (*get)(net::MessageBuffer&)) {
+std::optional<T> getOptional(util::MessageBuffer& buf,
+                             T (*get)(util::MessageBuffer&)) {
   if (!buf.getBool()) return std::nullopt;
   return get(buf);
 }
@@ -47,51 +47,51 @@ std::string eventTypeName(const Event& e) {
   return std::visit(Visitor{}, e);
 }
 
-void serializeMetaFilter(net::MessageBuffer& buf, const traj::MetaFilter& f) {
+void serializeMetaFilter(util::MessageBuffer& buf, const traj::MetaFilter& f) {
   putOptional<traj::CaptureSide>(
-      buf, f.side, +[](net::MessageBuffer& b, traj::CaptureSide s) {
+      buf, f.side, +[](util::MessageBuffer& b, traj::CaptureSide s) {
         b.putU8(static_cast<std::uint8_t>(s));
       });
   putOptional<traj::JourneyDirection>(
-      buf, f.direction, +[](net::MessageBuffer& b, traj::JourneyDirection d) {
+      buf, f.direction, +[](util::MessageBuffer& b, traj::JourneyDirection d) {
         b.putU8(static_cast<std::uint8_t>(d));
       });
   putOptional<traj::SeedState>(
-      buf, f.seed, +[](net::MessageBuffer& b, traj::SeedState s) {
+      buf, f.seed, +[](util::MessageBuffer& b, traj::SeedState s) {
         b.putU8(static_cast<std::uint8_t>(s));
       });
   putOptional<float>(
       buf, f.minDurationS,
-      +[](net::MessageBuffer& b, float v) { b.putF32(v); });
+      +[](util::MessageBuffer& b, float v) { b.putF32(v); });
   putOptional<float>(
       buf, f.maxDurationS,
-      +[](net::MessageBuffer& b, float v) { b.putF32(v); });
+      +[](util::MessageBuffer& b, float v) { b.putF32(v); });
 }
 
-traj::MetaFilter deserializeMetaFilter(net::MessageBuffer& buf) {
+traj::MetaFilter deserializeMetaFilter(util::MessageBuffer& buf) {
   traj::MetaFilter f;
   f.side = getOptional<traj::CaptureSide>(
-      buf, +[](net::MessageBuffer& b) {
+      buf, +[](util::MessageBuffer& b) {
         return static_cast<traj::CaptureSide>(b.getU8());
       });
   f.direction = getOptional<traj::JourneyDirection>(
-      buf, +[](net::MessageBuffer& b) {
+      buf, +[](util::MessageBuffer& b) {
         return static_cast<traj::JourneyDirection>(b.getU8());
       });
   f.seed = getOptional<traj::SeedState>(
-      buf, +[](net::MessageBuffer& b) {
+      buf, +[](util::MessageBuffer& b) {
         return static_cast<traj::SeedState>(b.getU8());
       });
   f.minDurationS = getOptional<float>(
-      buf, +[](net::MessageBuffer& b) { return b.getF32(); });
+      buf, +[](util::MessageBuffer& b) { return b.getF32(); });
   f.maxDurationS = getOptional<float>(
-      buf, +[](net::MessageBuffer& b) { return b.getF32(); });
+      buf, +[](util::MessageBuffer& b) { return b.getF32(); });
   return f;
 }
 
-void serializeEvent(net::MessageBuffer& buf, const Event& e) {
+void serializeEvent(util::MessageBuffer& buf, const Event& e) {
   struct Visitor {
-    net::MessageBuffer& buf;
+    util::MessageBuffer& buf;
     void operator()(const BrushStrokeEvent& ev) {
       buf.putU8(static_cast<std::uint8_t>(EventKind::kBrushStroke));
       buf.putU8(ev.brushIndex);
@@ -139,7 +139,7 @@ void serializeEvent(net::MessageBuffer& buf, const Event& e) {
   std::visit(Visitor{buf}, e);
 }
 
-Event deserializeEvent(net::MessageBuffer& buf) {
+Event deserializeEvent(util::MessageBuffer& buf) {
   const auto kind = static_cast<EventKind>(buf.getU8());
   switch (kind) {
     case EventKind::kBrushStroke: {
@@ -195,7 +195,7 @@ Event deserializeEvent(net::MessageBuffer& buf) {
       return ev;
     }
   }
-  throw net::MessageError("unknown event kind");
+  throw util::MessageError("unknown event kind");
 }
 
 }  // namespace svq::ui

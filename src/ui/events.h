@@ -13,7 +13,7 @@
 #include <variant>
 #include <vector>
 
-#include "net/message.h"
+#include "util/message.h"
 #include "traj/filter.h"
 #include "util/geometry.h"
 
@@ -102,10 +102,10 @@ struct TimedEvent {
 std::string eventTypeName(const Event& e);
 
 /// Binary (de)serialization for replay files and cluster distribution.
-void serializeEvent(net::MessageBuffer& buf, const Event& e);
-Event deserializeEvent(net::MessageBuffer& buf);
+void serializeEvent(util::MessageBuffer& buf, const Event& e);
+Event deserializeEvent(util::MessageBuffer& buf);
 
-void serializeMetaFilter(net::MessageBuffer& buf, const traj::MetaFilter& f);
-traj::MetaFilter deserializeMetaFilter(net::MessageBuffer& buf);
+void serializeMetaFilter(util::MessageBuffer& buf, const traj::MetaFilter& f);
+traj::MetaFilter deserializeMetaFilter(util::MessageBuffer& buf);
 
 }  // namespace svq::ui

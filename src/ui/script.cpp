@@ -1,22 +1,9 @@
-#include <bit>
 #include "ui/script.h"
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
-#include <sstream>
-
-#include "util/logging.h"
 
 namespace svq::ui {
-
-namespace {
-constexpr std::uint32_t kScriptMagic = 0x53565153u;  // "SVQS"
-
-/// Smallest serialized TimedEvent: 8-byte stamp + 1-byte event tag +
-/// 4-byte note length. Bounds the trusted event count on deserialize.
-constexpr std::size_t kMinEventBytes = 8 + 1 + 4;
-}  // namespace
 
 void InputScript::record(double timeS, Event e, std::string note) {
   if (!std::isfinite(timeS)) timeS = durationS();
@@ -37,69 +24,6 @@ void InputScript::record(double timeS, Event e, std::string note) {
 void InputScript::replay(
     const std::function<void(const TimedEvent&)>& sink) const {
   for (const TimedEvent& e : events_) sink(e);
-}
-
-net::MessageBuffer InputScript::serialize() const {
-  net::MessageBuffer buf;
-  buf.putU32(kScriptMagic);
-  buf.putU32(static_cast<std::uint32_t>(events_.size()));
-  for (const TimedEvent& e : events_) {
-    buf.putU64(std::bit_cast<std::uint64_t>(e.timeS));
-    serializeEvent(buf, e.event);
-    buf.putString(e.note);
-  }
-  return buf;
-}
-
-std::optional<InputScript> InputScript::deserialize(net::MessageBuffer buf) {
-  try {
-    buf.rewind();
-    if (buf.getU32() != kScriptMagic) return std::nullopt;
-    const std::uint32_t n = buf.getU32();
-    // A corrupt count must never size an allocation or a loop beyond what
-    // the payload can actually hold.
-    if (n > buf.remaining() / kMinEventBytes) return std::nullopt;
-    InputScript script;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      TimedEvent e;
-      e.timeS = std::bit_cast<double>(buf.getU64());
-      // A NaN stamp is unorderable: it breaks the sort below (strict weak
-      // ordering) and every downstream duration computation.
-      if (!std::isfinite(e.timeS)) return std::nullopt;
-      e.event = deserializeEvent(buf);
-      e.note = buf.getString();
-      script.events_.push_back(std::move(e));
-    }
-    std::stable_sort(script.events_.begin(), script.events_.end(),
-                     [](const TimedEvent& a, const TimedEvent& b) {
-                       return a.timeS < b.timeS;
-                     });
-    return script;
-  } catch (const net::MessageError&) {
-    return std::nullopt;
-  }
-}
-
-bool InputScript::saveBinary(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    SVQ_ERROR << "cannot open " << path << " for writing";
-    return false;
-  }
-  const auto buf = serialize();
-  out.write(reinterpret_cast<const char*>(buf.bytes().data()),
-            static_cast<std::streamsize>(buf.size()));
-  return static_cast<bool>(out);
-}
-
-std::optional<InputScript> InputScript::loadBinary(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const std::string data = ss.str();
-  std::vector<std::uint8_t> bytes(data.begin(), data.end());
-  return deserialize(net::MessageBuffer(std::move(bytes)));
 }
 
 }  // namespace svq::ui

@@ -2,12 +2,12 @@
 //
 // The pilot study is reproduced by replaying scripted analyst sessions:
 // a time-stamped sequence of events with think-aloud notes. Scripts can be
-// recorded from a live session, saved to a binary file, and replayed into
-// the application (optionally time-compressed).
+// recorded from a live session and replayed into the application
+// (optionally time-compressed). A script is persisted as an SVQR
+// recording: replay::Recording::fromScript(world, script).saveBinary(path).
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,16 +33,9 @@ class InputScript {
     return events_.empty() ? 0.0 : events_.back().timeS;
   }
 
-  /// Invokes sink for every event in time order (record() and
-  /// deserialize() both keep the event list sorted).
+  /// Invokes sink for every event in time order (record() keeps the
+  /// event list sorted).
   void replay(const std::function<void(const TimedEvent&)>& sink) const;
-
-  /// Serialization (round-trips through MessageBuffer).
-  net::MessageBuffer serialize() const;
-  static std::optional<InputScript> deserialize(net::MessageBuffer buf);
-
-  bool saveBinary(const std::string& path) const;
-  static std::optional<InputScript> loadBinary(const std::string& path);
 
  private:
   std::vector<TimedEvent> events_;

@@ -154,6 +154,19 @@ Status atomicWriteFile(const std::string& path, std::string_view bytes) {
   return Status::ok();
 }
 
+std::optional<std::vector<std::uint8_t>> readFile(const std::string& path) {
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (ec) return std::nullopt;  // missing, or not a regular file
+  std::vector<std::uint8_t> bytes(size);
+  std::ifstream in(path, std::ios::binary);
+  if (!in.read(reinterpret_cast<char*>(bytes.data()),
+               static_cast<std::streamsize>(size))) {
+    return std::nullopt;
+  }
+  return bytes;
+}
+
 FaultInjector::Draw FaultInjector::drawFor(std::uint64_t shard) const {
   // Per-shard stream derived from (seed, shard) only: recomputed from
   // scratch on every call, so the answer cannot depend on call order.
@@ -180,7 +193,7 @@ FaultInjector::ReadFault FaultInjector::faultFor(std::uint64_t shard) const {
 }
 
 Status FaultInjector::onRead(std::uint64_t shard, int attempt,
-                             std::string& payload) {
+                             std::vector<std::uint8_t>& payload) {
   const Draw d = drawFor(shard);
   const bool transientActive =
       plan_.transientFailCount < 0 || attempt < plan_.transientFailCount;
@@ -196,8 +209,7 @@ Status FaultInjector::onRead(std::uint64_t shard, int attempt,
       // attempt. Surfaces through the caller's CRC check, never here.
       if (payload.empty()) return Status::ok();
       const std::uint64_t bit = d.bitIndex % (payload.size() * 8u);
-      payload[bit / 8] = static_cast<char>(
-          static_cast<unsigned char>(payload[bit / 8]) ^ (1u << (bit % 8)));
+      payload[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
       bitFlips_.fetch_add(1, std::memory_order_relaxed);
       return Status::ok();
     }

@@ -17,7 +17,8 @@
 //     checksums do not depend on the machine or on SVQ_FORCE_SCALAR.
 //   * atomicWriteFile()/atomicPublish() — write-temp → fsync → rename
 //     discipline, so a crash mid-write can never clobber the previous
-//     good file or publish a half-written one.
+//     good file or publish a half-written one. readFile() is its reading
+//     counterpart for whole-file formats (SVQT, SVQR, snapshots).
 //   * FaultInjector — a seeded, deterministic hook under the shard
 //     reader/writer that rehearses media corruption (bit-flip), torn
 //     writes, truncation, EIO and short reads. Faults are a pure function
@@ -28,8 +29,11 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "util/status.h"
 
@@ -127,6 +131,16 @@ bool atomicPublish(const std::string& tmpPath, const std::string& finalPath);
 /// protocol (temp file is `path` + ".tmp"). A crash mid-save cannot
 /// clobber an existing file at `path`.
 Status atomicWriteFile(const std::string& path, std::string_view bytes);
+inline Status atomicWriteFile(const std::string& path,
+                              std::span<const std::uint8_t> bytes) {
+  return atomicWriteFile(
+      path, std::string_view(reinterpret_cast<const char*>(bytes.data()),
+                             bytes.size()));
+}
+
+/// The whole file at `path`; nullopt when it is missing, is not a regular
+/// file, or cannot be read.
+std::optional<std::vector<std::uint8_t>> readFile(const std::string& path);
 
 /// Bounded retry-with-backoff for transient read faults.
 struct RetryPolicy {
@@ -186,7 +200,8 @@ class FaultInjector {
   /// the caller's CRC check), shorten it (short read), or fail outright
   /// (EIO). `attempt` is 0-based; transient faults succeed once `attempt`
   /// reaches transientFailCount.
-  Status onRead(std::uint64_t shard, int attempt, std::string& payload);
+  Status onRead(std::uint64_t shard, int attempt,
+                std::vector<std::uint8_t>& payload);
 
   /// Writer hook: byte offset at which to tear the written stream, or
   /// kNoTornWrite.

@@ -95,7 +95,7 @@ TEST(SnapshotFuzzTest, RandomTruncationsAreRejectedWithoutCrashing) {
     const auto snapshot = saveSnapshot(source);
     const auto& bytes = snapshot.bytes();
     const std::size_t cut = rng.below(bytes.size());
-    net::MessageBuffer torn(
+    util::MessageBuffer torn(
         std::vector<std::uint8_t>(bytes.begin(),
                                   bytes.begin() + static_cast<long>(cut)));
     // The encoding has no padding: every byte saved is read back, so any
@@ -124,7 +124,7 @@ TEST(SnapshotFuzzTest, RandomBitFlipsNeverCrashOrOverAllocate) {
     // hostile group/stroke count cannot allocate or loop past the bytes
     // actually present). Either way: no crash, no hang — ASan in CI
     // enforces the memory side.
-    restoreSnapshot(scratch, net::MessageBuffer(std::move(bytes)));
+    restoreSnapshot(scratch, util::MessageBuffer(std::move(bytes)));
   }
 }
 

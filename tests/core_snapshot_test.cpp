@@ -6,9 +6,11 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <vector>
 
 #include "cluster/clusterapp.h"
 #include "traj/synth.h"
+#include "util/rng.h"
 
 namespace svq::core {
 namespace {
@@ -100,10 +102,10 @@ TEST(SnapshotTest, RestoreOverwritesExistingState) {
 TEST(SnapshotTest, RejectsGarbage) {
   const auto ds = makeDataset();
   Session app(SharedContext::create(ds, smallWall()));
-  net::MessageBuffer garbage;
+  util::MessageBuffer garbage;
   garbage.putU32(0xBADF00D);
   EXPECT_FALSE(restoreSnapshot(app, std::move(garbage)));
-  net::MessageBuffer truncated;
+  util::MessageBuffer truncated;
   truncated.putU32(0x53565150u);
   EXPECT_FALSE(restoreSnapshot(app, std::move(truncated)));
 }
@@ -131,6 +133,51 @@ TEST(SnapshotTest, FileRoundTrip) {
   EXPECT_EQ(restored.brush().strokes().size(), 2u);
   std::remove(path.c_str());
   EXPECT_FALSE(restoreSnapshotFile(restored, path));  // gone
+}
+
+// A rejected restore must be all-or-nothing: neither a truncated nor a
+// corrupted snapshot may leave the session half-switched (new layout, old
+// groups gone, some strokes applied).
+TEST(SnapshotTest, RejectedRestoreLeavesSessionUntouched) {
+  const auto ds = makeDataset();
+  Session source(SharedContext::create(ds, smallWall()));
+  source.apply(ui::LayoutSwitchEvent{2});
+  source.apply(ui::BrushStrokeEvent{0, {-20.0f, 5.0f}, 12.0f});
+  source.apply(ui::BrushStrokeEvent{1, {0.0f, 0.0f}, 8.0f});
+  source.apply(ui::TimeWindowEvent{5.0f, 90.0f});
+  const std::vector<std::uint8_t> snapshot = saveSnapshot(source).bytes();
+
+  Session target(SharedContext::create(ds, smallWall()));
+  target.apply(ui::LayoutSwitchEvent{0});
+  ui::GroupDefineEvent g;
+  g.groupId = 9;
+  g.cellRect = {0, 0, 5, 2};
+  target.apply(g);
+  target.apply(ui::BrushStrokeEvent{3, {10.0f, 10.0f}, 20.0f});
+  target.apply(ui::TimeWindowEvent{1.0f, 30.0f});
+  target.apply(ui::DepthOffsetEvent{4.0f});
+  const std::vector<std::uint8_t> before = saveSnapshot(target).bytes();
+
+  for (std::size_t cut = 0; cut < snapshot.size(); ++cut) {
+    Session s = target.fork();
+    std::vector<std::uint8_t> prefix(snapshot.begin(), snapshot.begin() + cut);
+    ASSERT_FALSE(restoreSnapshot(s, util::MessageBuffer(std::move(prefix))))
+        << "prefix " << cut;
+    ASSERT_EQ(saveSnapshot(s).bytes(), before) << "prefix " << cut;
+  }
+
+  Rng rng(0x5AFEULL);
+  int rejected = 0;
+  for (int iter = 0; iter < 1000; ++iter) {
+    Session s = target.fork();
+    std::vector<std::uint8_t> flipped = snapshot;
+    const std::uint64_t bit = rng.next() % (flipped.size() * 8);
+    flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    if (restoreSnapshot(s, util::MessageBuffer(std::move(flipped)))) continue;
+    ++rejected;
+    ASSERT_EQ(saveSnapshot(s).bytes(), before) << "iteration " << iter;
+  }
+  EXPECT_GT(rejected, 0);
 }
 
 }  // namespace

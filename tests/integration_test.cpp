@@ -7,6 +7,7 @@
 #include "cluster/clusterapp.h"
 #include "core/hypothesis.h"
 #include "core/session.h"
+#include "replay/recording.h"
 #include "study/coding.h"
 #include "traj/synth.h"
 
@@ -169,13 +170,21 @@ TEST_F(IntegrationTest, SessionCodingMatchesScriptAnnotations) {
 TEST_F(IntegrationTest, ScriptPersistenceRoundTripDrivesSameState) {
   const wall::WallSpec w = miniPaperWall();
   const auto script = analystSession();
-  const auto restored = ui::InputScript::deserialize(script.serialize());
+  // Scripts persist as SVQR recordings.
+  const auto restored = replay::Recording::deserialize(
+      replay::Recording::fromScript({}, script).serialize());
   ASSERT_TRUE(restored.has_value());
+  ui::InputScript replayed;
+  for (const replay::RecordedStep& s : restored->steps()) {
+    if (s.kind == replay::StepKind::kEvent) {
+      replayed.record(s.timeS, s.event, s.note);
+    }
+  }
 
   core::Session a(core::SharedContext::create(*dataset_, w));
   core::Session b(core::SharedContext::create(*dataset_, w));
   a.applyScript(script);
-  b.applyScript(*restored);
+  b.applyScript(replayed);
   const auto sceneA = a.buildScene();
   const auto sceneB = b.buildScene();
   const auto imgA =

@@ -1,12 +1,48 @@
-// Tests for net/message.h — serialization round-trips and underrun safety.
+// Tests for the byte codec (util/message.h, which net/message.h names for
+// the cluster protocol) — serialization round-trips, underrun safety and
+// payload-bounded counts.
 #include "net/message.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "util/rng.h"
+
+// Largest single operator-new request since the last reset: shows that a
+// forged count never reaches the allocator.
+namespace {
+std::atomic<std::size_t> gLargestAlloc{0};
+}  // namespace
+
+// The new and both deletes stay out of line, so the compiler never pairs
+// a malloc or free it can see with the matching delete or new.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  std::size_t seen = gLargestAlloc.load(std::memory_order_relaxed);
+  while (n > seen && !gLargestAlloc.compare_exchange_weak(
+                         seen, n, std::memory_order_relaxed)) {
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace svq::net {
 namespace {
+
+/// A count field followed by `payload` filler bytes, cursor at the start.
+MessageBuffer countedPayload(std::uint32_t count, std::size_t payload) {
+  MessageBuffer buf;
+  buf.putU32(count);
+  buf.putRaw(std::vector<std::uint8_t>(payload, 0xAB));
+  buf.rewind();
+  return buf;
+}
 
 TEST(MessageBufferTest, ScalarRoundTrip) {
   MessageBuffer buf;
@@ -94,6 +130,75 @@ TEST(MessageBufferTest, BytesUnderrunThrows) {
   buf.putU8(1);
   buf.rewind();
   EXPECT_THROW(buf.getBytesView(), MessageError);
+}
+
+TEST(MessageBufferTest, GetCountAcceptsExactlyWhatTheBytesLeftHold) {
+  for (const std::size_t elem : {1u, 3u, 12u, 36u}) {
+    for (const std::size_t payload : {1000u, 1001u, 1011u, 4096u}) {
+      SCOPED_TRACE(testing::Message() << "elem " << elem << " payload "
+                                      << payload);
+      const auto fits = static_cast<std::uint32_t>(payload / elem);
+      MessageBuffer ok = countedPayload(fits, payload);
+      EXPECT_EQ(ok.getCount(elem), fits);
+      EXPECT_EQ(ok.remaining(), payload);  // the cursor is past the count
+
+      MessageBuffer over = countedPayload(fits + 1, payload);
+      gLargestAlloc.store(0);
+      EXPECT_THROW(over.getCount(elem), MessageError);
+      EXPECT_LE(gLargestAlloc.load(), over.size());
+    }
+  }
+  MessageBuffer hostile = countedPayload(0xFFFFFFFFu, 1000);
+  gLargestAlloc.store(0);
+  EXPECT_THROW(hostile.getCount(1), MessageError);
+  EXPECT_LE(gLargestAlloc.load(), hostile.size());
+  MessageBuffer empty = countedPayload(0, 0);
+  EXPECT_EQ(empty.getCount(8), 0u);
+  EXPECT_THROW(empty.getCount(8), MessageError);  // no count left to read
+}
+
+TEST(MessageBufferTest, TakeAtTheEndAndPastIt) {
+  MessageBuffer buf;
+  buf.putU32(5);
+  buf.rewind();
+  buf.getU32();
+  EXPECT_TRUE(buf.take(0).empty());
+  EXPECT_THROW(buf.take(buf.remaining() + 1), MessageError);
+
+  MessageBuffer some = countedPayload(0, 6);
+  some.getU32();
+  EXPECT_THROW(some.take(some.remaining() + 1), MessageError);
+  EXPECT_EQ(some.remaining(), 6u);  // a failed take consumes nothing
+  EXPECT_EQ(some.take(6).size(), 6u);
+  EXPECT_TRUE(some.take(0).empty());
+}
+
+TEST(MessageBufferTest, PutRawTakeRoundTripAndMixWithLengthPrefixedRuns) {
+  const std::vector<std::uint8_t> raw{9, 0, 255, 17};
+  const std::vector<std::uint8_t> run{1, 2, 3};
+  MessageBuffer buf;
+  buf.putRaw(raw);
+  buf.putBytes(run);
+  buf.putRaw({});
+  buf.putRaw(run);
+  EXPECT_EQ(buf.size(), raw.size() + 4 + 2 * run.size());
+  buf.rewind();
+  const std::span<const std::uint8_t> a = buf.take(raw.size());
+  EXPECT_EQ(std::vector<std::uint8_t>(a.begin(), a.end()), raw);
+  EXPECT_EQ(a.data(), buf.bytes().data());  // a view, not a copy
+  const std::span<const std::uint8_t> b = buf.getBytesView();
+  EXPECT_EQ(std::vector<std::uint8_t>(b.begin(), b.end()), run);
+  const std::span<const std::uint8_t> c = buf.take(run.size());
+  EXPECT_EQ(std::vector<std::uint8_t>(c.begin(), c.end()), run);
+  EXPECT_EQ(buf.remaining(), 0u);
+
+  // A length-prefixed run read back as a raw u32 length plus take().
+  buf.rewind();
+  buf.take(raw.size());
+  const std::uint32_t n = buf.getU32();
+  EXPECT_EQ(n, run.size());
+  const std::span<const std::uint8_t> d = buf.take(n);
+  EXPECT_EQ(std::vector<std::uint8_t>(d.begin(), d.end()), run);
 }
 
 TEST(MessageBufferTest, RewindAllowsRereading) {

@@ -76,36 +76,36 @@ TEST(RecordingTest, RoundTripsAllStepKindsAndEventTypes) {
 }
 
 TEST(RecordingTest, RejectsBadMagicVersionTruncationAndTrailingGarbage) {
-  const net::MessageBuffer buf = sampleRecording().serialize();
+  const util::MessageBuffer buf = sampleRecording().serialize();
   const auto& bytes = buf.bytes();
 
   {  // bad magic
     std::vector<std::uint8_t> corrupt(bytes);
     corrupt[0] ^= 0xFF;
     EXPECT_FALSE(
-        Recording::deserialize(net::MessageBuffer(std::move(corrupt))));
+        Recording::deserialize(util::MessageBuffer(std::move(corrupt))));
   }
   {  // unknown version
     std::vector<std::uint8_t> corrupt(bytes);
     corrupt[4] = 0x7F;
     EXPECT_FALSE(
-        Recording::deserialize(net::MessageBuffer(std::move(corrupt))));
+        Recording::deserialize(util::MessageBuffer(std::move(corrupt))));
   }
   {  // every strict prefix is rejected, never a crash
     for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
       std::vector<std::uint8_t> prefix(bytes.begin(),
                                        bytes.begin() + static_cast<long>(cut));
       EXPECT_FALSE(
-          Recording::deserialize(net::MessageBuffer(std::move(prefix))))
+          Recording::deserialize(util::MessageBuffer(std::move(prefix))))
           << "cut " << cut;
     }
   }
   {  // trailing garbage
     std::vector<std::uint8_t> padded(bytes);
     padded.push_back(0xAB);
-    EXPECT_FALSE(Recording::deserialize(net::MessageBuffer(std::move(padded))));
+    EXPECT_FALSE(Recording::deserialize(util::MessageBuffer(std::move(padded))));
   }
-  EXPECT_TRUE(Recording::deserialize(net::MessageBuffer(bytes)).has_value());
+  EXPECT_TRUE(Recording::deserialize(util::MessageBuffer(bytes)).has_value());
 }
 
 TEST(RecordingTest, RejectsHostileCountsBadKindsAndNonFiniteTimestamps) {
@@ -113,20 +113,20 @@ TEST(RecordingTest, RejectsHostileCountsBadKindsAndNonFiniteTimestamps) {
   // v2 appended the five u32 overload-plan fields to the world block,
   // v3 the three u32 progressive-plan fields).
   const std::size_t countOffset = 8 + 104;
-  const net::MessageBuffer buf = sampleRecording().serialize();
+  const util::MessageBuffer buf = sampleRecording().serialize();
 
   {  // hostile step count: bounded by payload, rejected before reserve
     std::vector<std::uint8_t> corrupt(buf.bytes());
     const std::uint32_t huge = 0x7FFFFFFFu;
     std::memcpy(corrupt.data() + countOffset, &huge, sizeof huge);
     EXPECT_FALSE(
-        Recording::deserialize(net::MessageBuffer(std::move(corrupt))));
+        Recording::deserialize(util::MessageBuffer(std::move(corrupt))));
   }
   {  // invalid step kind
     std::vector<std::uint8_t> corrupt(buf.bytes());
     corrupt[countOffset + 4] = 9;  // first step's kind byte
     EXPECT_FALSE(
-        Recording::deserialize(net::MessageBuffer(std::move(corrupt))));
+        Recording::deserialize(util::MessageBuffer(std::move(corrupt))));
   }
   {  // NaN timestamp
     Recording rec;
@@ -162,7 +162,7 @@ TEST(RecordingTest, TenantSliceKeepsOrderAndRemapsToTrackZero) {
 /// the overload plan) or v3 (104 bytes, with the progressive plan) — so
 /// tests can author payloads of any version without going through
 /// serialize().
-void putWorldBytes(net::MessageBuffer& buf, const WorldSpec& w, int version) {
+void putWorldBytes(util::MessageBuffer& buf, const WorldSpec& w, int version) {
   buf.putU64(w.datasetSeed);
   buf.putU32(w.trajectoryCount);
   buf.putI32(w.tile.pxW);
@@ -248,10 +248,10 @@ TEST(RecordingTest, RejectsUnknownRefusalCodesAndRefusedLifecycleSteps) {
               static_cast<std::uint8_t>(core::StatusCode::kOverloaded));
     bytes[refusalOffset] =
         static_cast<std::uint8_t>(core::StatusCode::kOverloaded) + 1;
-    EXPECT_FALSE(Recording::deserialize(net::MessageBuffer(std::move(bytes))));
+    EXPECT_FALSE(Recording::deserialize(util::MessageBuffer(std::move(bytes))));
   }
   {  // a refusal tag on a lifecycle step is structurally invalid
-    net::MessageBuffer buf;
+    util::MessageBuffer buf;
     buf.putU32(Recording::kMagic);
     buf.putU32(2);
     putWorldBytes(buf, WorldSpec{}, /*version=*/2);
@@ -273,7 +273,7 @@ TEST(RecordingTest, StillParsesVersion1Payloads) {
   world.datasetSeed = 31337;
   world.trajectoryCount = 9;
   world.wireDropProbability = 0.125;
-  net::MessageBuffer buf;
+  util::MessageBuffer buf;
   buf.putU32(Recording::kMagic);
   buf.putU32(1);
   putWorldBytes(buf, world, /*version=*/1);
@@ -308,7 +308,7 @@ TEST(RecordingTest, StillParsesVersion1Payloads) {
 
   // A v2 payload that lies about being v1 (extra overload bytes) is
   // trailing garbage, not silently misparsed.
-  net::MessageBuffer lying;
+  util::MessageBuffer lying;
   lying.putU32(Recording::kMagic);
   lying.putU32(1);
   putWorldBytes(lying, world, /*version=*/2);
@@ -359,7 +359,7 @@ TEST(RecordingTest, StillParsesVersion2PayloadsWithInertProgressivePlan) {
   WorldSpec world;
   world.datasetSeed = 2024;
   world.overload.applyDeadlineUs = 1000;
-  net::MessageBuffer buf;
+  util::MessageBuffer buf;
   buf.putU32(Recording::kMagic);
   buf.putU32(2);
   putWorldBytes(buf, world, /*version=*/2);
@@ -386,7 +386,7 @@ TEST(RecordingTest, StillParsesVersion2PayloadsWithInertProgressivePlan) {
 
   // A v2 payload must not smuggle a kRefine step: the kind is gated on
   // the version, not just the enum range.
-  net::MessageBuffer refina;
+  util::MessageBuffer refina;
   refina.putU32(Recording::kMagic);
   refina.putU32(2);
   putWorldBytes(refina, world, /*version=*/2);
@@ -403,7 +403,7 @@ TEST(RecordingTest, StillParsesVersion2PayloadsWithInertProgressivePlan) {
 
 TEST(RecordingTest, RejectsCorruptProgressivePlansAndZeroRefineBudgets) {
   {  // active plan with a degenerate lattice
-    net::MessageBuffer buf;
+    util::MessageBuffer buf;
     buf.putU32(Recording::kMagic);
     buf.putU32(3);
     WorldSpec world;
@@ -415,7 +415,7 @@ TEST(RecordingTest, RejectsCorruptProgressivePlansAndZeroRefineBudgets) {
     EXPECT_FALSE(Recording::deserialize(std::move(buf)));
   }
   {  // absurd shard capacity (bit-flip territory)
-    net::MessageBuffer buf;
+    util::MessageBuffer buf;
     buf.putU32(Recording::kMagic);
     buf.putU32(3);
     WorldSpec world;
@@ -427,7 +427,7 @@ TEST(RecordingTest, RejectsCorruptProgressivePlansAndZeroRefineBudgets) {
     EXPECT_FALSE(Recording::deserialize(std::move(buf)));
   }
   {  // a zero refine budget can only be corruption
-    net::MessageBuffer buf;
+    util::MessageBuffer buf;
     buf.putU32(Recording::kMagic);
     buf.putU32(3);
     putWorldBytes(buf, WorldSpec{}, /*version=*/3);
@@ -464,7 +464,7 @@ TEST(RecordingTest, RefineRoundTripSurvivesSingleByteCorruption) {
       std::vector<std::uint8_t> corrupt(bytes);
       corrupt[i] ^= mask;
       const auto parsed =
-          Recording::deserialize(net::MessageBuffer(std::move(corrupt)));
+          Recording::deserialize(util::MessageBuffer(std::move(corrupt)));
       if (!parsed) continue;
       const auto again = Recording::deserialize(parsed->serialize());
       ASSERT_TRUE(again.has_value()) << "byte " << i << " mask " << int(mask);
@@ -701,32 +701,42 @@ TEST(InputScriptOrderTest, NonFiniteStampsAreClampedToScriptEnd) {
   ASSERT_EQ(script.size(), 3u);
   EXPECT_DOUBLE_EQ(script.events()[2].timeS, 5.0);
   EXPECT_DOUBLE_EQ(script.durationS(), 5.0);
-  // The clamped script still round-trips (serialization would reject a
-  // non-finite stamp).
-  EXPECT_TRUE(ui::InputScript::deserialize(script.serialize()).has_value());
+  // The clamped script still round-trips as a recording (serialization
+  // would reject a non-finite stamp).
+  EXPECT_TRUE(Recording::deserialize(
+                  Recording::fromScript(WorldSpec{}, script).serialize())
+                  .has_value());
 }
 
 TEST(InputScriptOrderTest, DeserializeRejectsNonFiniteStampsAndHostileCounts) {
   ui::InputScript script;
   script.record(1.0, ui::PageEvent{1});
   script.record(2.0, ui::PageEvent{-1});
-  const net::MessageBuffer buf = script.serialize();
+  // A script persists as a recording: the step count, an admit step
+  // (kind, tenant, stamp, refusal, no-event marker, empty note), then one
+  // event step per script event.
+  const util::MessageBuffer buf =
+      Recording::fromScript(WorldSpec{}, script).serialize();
+  const std::size_t countOffset = 8 + 104;
+  const std::size_t firstStamp = countOffset + 4 + 19 + 1 + 4;
+  const double one = 1.0;
+  ASSERT_EQ(std::memcmp(buf.bytes().data() + firstStamp, &one, sizeof one), 0);
 
   {  // NaN stamp in the wire bytes (bit-flip territory)
     std::vector<std::uint8_t> corrupt(buf.bytes());
     const double nan = std::numeric_limits<double>::quiet_NaN();
-    std::memcpy(corrupt.data() + 8, &nan, sizeof nan);  // first stamp
+    std::memcpy(corrupt.data() + firstStamp, &nan, sizeof nan);
     EXPECT_FALSE(
-        ui::InputScript::deserialize(net::MessageBuffer(std::move(corrupt))));
+        Recording::deserialize(util::MessageBuffer(std::move(corrupt))));
   }
   {  // count field far beyond what the payload can hold
     std::vector<std::uint8_t> corrupt(buf.bytes());
     const std::uint32_t huge = 0x7FFFFFFFu;
-    std::memcpy(corrupt.data() + 4, &huge, sizeof huge);
+    std::memcpy(corrupt.data() + countOffset, &huge, sizeof huge);
     EXPECT_FALSE(
-        ui::InputScript::deserialize(net::MessageBuffer(std::move(corrupt))));
+        Recording::deserialize(util::MessageBuffer(std::move(corrupt))));
   }
-  EXPECT_TRUE(ui::InputScript::deserialize(buf).has_value());
+  EXPECT_TRUE(Recording::deserialize(buf).has_value());
 }
 
 }  // namespace

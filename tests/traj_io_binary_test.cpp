@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <vector>
 
 #include "traj/synth.h"
 
@@ -97,32 +98,34 @@ TEST(BinaryIoTest, EmptyDatasetRoundTrip) {
 }
 
 TEST(BinaryIoTest, RejectsWrongMagic) {
-  std::string bytes = toBinary(sampleDataset(2));
+  std::vector<std::uint8_t> bytes = toBinary(sampleDataset(2)).bytes();
   bytes[0] = 'X';
-  EXPECT_FALSE(fromBinary(bytes).has_value());
+  EXPECT_FALSE(fromBinary(util::MessageBuffer(bytes)).has_value());
 }
 
 TEST(BinaryIoTest, RejectsTruncation) {
-  const std::string bytes = toBinary(sampleDataset(3));
+  const std::vector<std::uint8_t> bytes = toBinary(sampleDataset(3)).bytes();
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-    ASSERT_FALSE(fromBinary(std::string_view(bytes).substr(0, cut)).has_value())
+    ASSERT_FALSE(fromBinary(util::MessageBuffer({bytes.begin(),
+                                                 bytes.begin() + cut}))
+                     .has_value())
         << "cut at " << cut << " of " << bytes.size();
   }
 }
 
 TEST(BinaryIoTest, RejectsTrailingGarbage) {
-  std::string bytes = toBinary(sampleDataset(2));
-  bytes += "extra";
-  EXPECT_FALSE(fromBinary(bytes).has_value());
+  std::vector<std::uint8_t> bytes = toBinary(sampleDataset(2)).bytes();
+  bytes.insert(bytes.end(), {'e', 'x', 't', 'r', 'a'});
+  EXPECT_FALSE(fromBinary(util::MessageBuffer(bytes)).has_value());
 }
 
 TEST(BinaryIoTest, RejectsBadEnumValue) {
   TrajectoryDataset ds(ArenaSpec{50.0f});
   ds.add(Trajectory({}, {{{0, 0}, 0}, {{1, 0}, 1}}));
-  std::string bytes = toBinary(ds);
+  std::vector<std::uint8_t> bytes = toBinary(ds).bytes();
   // Corrupt the side byte (offset: 16 header + 4 id).
   bytes[20] = 9;
-  EXPECT_FALSE(fromBinary(bytes).has_value());
+  EXPECT_FALSE(fromBinary(util::MessageBuffer(bytes)).has_value());
 }
 
 TEST(BinaryIoTest, SmallerThanCsv) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "traj/io_binary.h"
 #include "traj/synth.h"
@@ -46,12 +47,12 @@ TEST(BinaryIoFuzzTest, RandomDatasetsRoundTripBitIdentically) {
   Rng rng(kFuzzSeed);
   for (int iter = 0; iter < kIterations; ++iter) {
     const TrajectoryDataset ds = randomDataset(rng);
-    const std::string bytes = toBinary(ds);
+    const util::MessageBuffer bytes = toBinary(ds);
     const auto restored = fromBinary(bytes);
     ASSERT_TRUE(restored.has_value()) << "iteration " << iter;
     ASSERT_EQ(restored->size(), ds.size()) << "iteration " << iter;
-    EXPECT_EQ(std::memcmp(bytes.data(), toBinary(*restored).data(),
-                          bytes.size()),
+    EXPECT_EQ(std::memcmp(bytes.bytes().data(),
+                          toBinary(*restored).bytes().data(), bytes.size()),
               0)
         << "re-encode differs at iteration " << iter;
     for (std::size_t i = 0; i < ds.size(); ++i) {
@@ -67,7 +68,8 @@ TEST(BinaryIoFuzzTest, RandomDatasetsRoundTripBitIdentically) {
 TEST(BinaryIoFuzzTest, RandomTruncationsNeverCrash) {
   Rng rng(kFuzzSeed ^ 0x1);
   for (int iter = 0; iter < kIterations; ++iter) {
-    const std::string bytes = toBinary(randomDataset(rng));
+    const std::vector<std::uint8_t> bytes =
+        toBinary(randomDataset(rng)).bytes();
     if (bytes.size() <= 1) continue;
     const std::size_t cut = rng.below(bytes.size());
     // A strict prefix is either rejected or (when the cut lands exactly on
@@ -76,7 +78,9 @@ TEST(BinaryIoFuzzTest, RandomTruncationsNeverCrash) {
     // trailing-garbage check makes acceptance of a *proper* prefix
     // impossible unless the suffix was empty records, which cannot happen
     // — every record is at least 11 bytes — so assert rejection.
-    EXPECT_FALSE(fromBinary(bytes.substr(0, cut)).has_value())
+    EXPECT_FALSE(
+        fromBinary(util::MessageBuffer({bytes.begin(), bytes.begin() + cut}))
+            .has_value())
         << "iteration " << iter << " cut " << cut;
   }
 }
@@ -85,18 +89,17 @@ TEST(BinaryIoFuzzTest, RandomBitFlipsNeverCrashOrOverAllocate) {
   Rng rng(kFuzzSeed ^ 0x2);
   for (int iter = 0; iter < kIterations; ++iter) {
     const TrajectoryDataset ds = randomDataset(rng);
-    std::string bytes = toBinary(ds);
+    std::vector<std::uint8_t> bytes = toBinary(ds).bytes();
     if (bytes.empty()) continue;
     const std::size_t flips = 1 + rng.below(4);
     for (std::size_t f = 0; f < flips; ++f) {
       const std::size_t byte = rng.below(bytes.size());
-      bytes[byte] = static_cast<char>(
-          static_cast<unsigned char>(bytes[byte]) ^ (1u << rng.below(8)));
+      bytes[byte] ^= static_cast<std::uint8_t>(1u << rng.below(8));
     }
     // May still parse (the flip can hit float payload bits); must not
     // crash, hang, or allocate per a corrupted count. ASan + the
     // parser's payload-bounded count checks enforce the latter.
-    const auto result = fromBinary(bytes);
+    const auto result = fromBinary(util::MessageBuffer(bytes));
     if (result.has_value()) {
       EXPECT_LE(result->size(), bytes.size() / 11);
     }
@@ -107,26 +110,30 @@ TEST(BinaryIoFuzzTest, OversizedCountFieldsAreRejectedWithoutAllocating) {
   Rng rng(kFuzzSeed ^ 0x3);
   for (int iter = 0; iter < kIterations; ++iter) {
     TrajectoryDataset ds = randomDataset(rng);
-    std::string bytes = toBinary(ds);
+    const std::vector<std::uint8_t> bytes = toBinary(ds).bytes();
 
     // trajectoryCount lives at offset 12. Overwrite with a huge value:
     // must be rejected before any reserve() proportional to it.
     {
-      std::string corrupt = bytes;
+      std::vector<std::uint8_t> corrupt = bytes;
       const std::uint32_t huge =
           0x40000000u | static_cast<std::uint32_t>(rng.next());
       std::memcpy(corrupt.data() + 12, &huge, sizeof huge);
-      EXPECT_FALSE(fromBinary(corrupt).has_value()) << "iteration " << iter;
+      EXPECT_FALSE(
+          fromBinary(util::MessageBuffer(std::move(corrupt))).has_value())
+          << "iteration " << iter;
     }
 
     // pointCount of the first record lives at offset 16 + 7 (when there
     // is at least one trajectory).
     if (!ds.empty()) {
-      std::string corrupt = bytes;
+      std::vector<std::uint8_t> corrupt = bytes;
       const std::uint32_t huge =
           0x40000000u | static_cast<std::uint32_t>(rng.next());
       std::memcpy(corrupt.data() + 16 + 7, &huge, sizeof huge);
-      EXPECT_FALSE(fromBinary(corrupt).has_value()) << "iteration " << iter;
+      EXPECT_FALSE(
+          fromBinary(util::MessageBuffer(std::move(corrupt))).has_value())
+          << "iteration " << iter;
     }
   }
 }

@@ -1,11 +1,10 @@
-// Property/fuzz tests for the replay-input parsers (tier2).
+// Property/fuzz tests for the replay-input parser (tier2).
 //
-// Mirrors traj_io_fuzz_test for the two interaction containers —
-// ui::InputScript ("SVQS") and replay::Recording ("SVQR"): ~1k
-// seed-driven iterations of round-trip, truncation, bit-flip and hostile
-// count-field corpora. Both parsers must reject with nullopt — never
-// crash, never sort unorderable NaN stamps (strict-weak-ordering UB),
-// never allocate per a corrupt length field.
+// Mirrors traj_io_fuzz_test for the interaction container,
+// replay::Recording ("SVQR"): ~1k seed-driven iterations of round-trip,
+// truncation, bit-flip and hostile count-field corpora over random
+// recordings that draw every event kind. The parser must reject with
+// nullopt — never crash, never allocate per a corrupt length field.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,7 +12,6 @@
 #include <limits>
 
 #include "replay/recording.h"
-#include "ui/script.h"
 #include "util/rng.h"
 
 namespace svq {
@@ -60,19 +58,6 @@ ui::Event randomEvent(Rng& rng) {
   }
 }
 
-ui::InputScript randomScript(Rng& rng) {
-  ui::InputScript script;
-  const std::size_t n = rng.below(12);
-  double t = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    t += rng.uniform(0.0, 5.0);
-    std::string note;
-    if (rng.chance(0.3)) note = std::string(rng.below(16), 'n');
-    script.record(t, randomEvent(rng), std::move(note));
-  }
-  return script;
-}
-
 replay::Recording randomRecording(Rng& rng) {
   replay::Recording rec;
   rec.world.datasetSeed = rng.next();
@@ -105,79 +90,13 @@ void flipBits(Rng& rng, std::vector<std::uint8_t>& bytes) {
   }
 }
 
-// --- InputScript -------------------------------------------------------------
-
-TEST(ScriptFuzzTest, RandomScriptsRoundTripBitIdentically) {
-  Rng rng(kFuzzSeed);
-  for (int iter = 0; iter < kIterations; ++iter) {
-    const ui::InputScript script = randomScript(rng);
-    const net::MessageBuffer bytes = script.serialize();
-    const auto restored = ui::InputScript::deserialize(bytes);
-    ASSERT_TRUE(restored.has_value()) << "iteration " << iter;
-    ASSERT_EQ(restored->size(), script.size()) << "iteration " << iter;
-    EXPECT_EQ(restored->serialize().bytes(), bytes.bytes())
-        << "re-encode differs at iteration " << iter;
-  }
-}
-
-TEST(ScriptFuzzTest, RandomTruncationsNeverCrash) {
-  Rng rng(kFuzzSeed ^ 0x1);
-  for (int iter = 0; iter < kIterations; ++iter) {
-    std::vector<std::uint8_t> bytes = randomScript(rng).serialize().bytes();
-    if (bytes.size() <= 1) continue;
-    const std::size_t cut = rng.below(bytes.size());
-    std::vector<std::uint8_t> prefix(bytes.begin(),
-                                     bytes.begin() + static_cast<long>(cut));
-    // The script container has no trailing-garbage check, but a strict
-    // prefix always cuts the event list short of its count field: reject.
-    EXPECT_FALSE(
-        ui::InputScript::deserialize(net::MessageBuffer(std::move(prefix)))
-            .has_value())
-        << "iteration " << iter << " cut " << cut;
-  }
-}
-
-TEST(ScriptFuzzTest, RandomBitFlipsNeverCrashOrMissortNaN) {
-  Rng rng(kFuzzSeed ^ 0x2);
-  for (int iter = 0; iter < kIterations; ++iter) {
-    std::vector<std::uint8_t> bytes = randomScript(rng).serialize().bytes();
-    flipBits(rng, bytes);
-    // May still parse (payload-bit flips); must never crash and never
-    // accept an unorderable NaN stamp into the sorted event list.
-    const auto result =
-        ui::InputScript::deserialize(net::MessageBuffer(std::move(bytes)));
-    if (result.has_value()) {
-      double last = -std::numeric_limits<double>::infinity();
-      for (const ui::TimedEvent& e : result->events()) {
-        ASSERT_TRUE(std::isfinite(e.timeS)) << "iteration " << iter;
-        ASSERT_LE(last, e.timeS) << "iteration " << iter;
-        last = e.timeS;
-      }
-    }
-  }
-}
-
-TEST(ScriptFuzzTest, OversizedCountFieldsAreRejectedWithoutAllocating) {
-  Rng rng(kFuzzSeed ^ 0x3);
-  for (int iter = 0; iter < kIterations; ++iter) {
-    std::vector<std::uint8_t> bytes = randomScript(rng).serialize().bytes();
-    const std::uint32_t huge =
-        0x40000000u | static_cast<std::uint32_t>(rng.next());
-    std::memcpy(bytes.data() + 4, &huge, sizeof huge);  // event count
-    EXPECT_FALSE(
-        ui::InputScript::deserialize(net::MessageBuffer(std::move(bytes)))
-            .has_value())
-        << "iteration " << iter;
-  }
-}
-
 // --- Recording ---------------------------------------------------------------
 
 TEST(RecordingFuzzTest, RandomRecordingsRoundTripBitIdentically) {
   Rng rng(kFuzzSeed ^ 0x10);
   for (int iter = 0; iter < kIterations; ++iter) {
     const replay::Recording rec = randomRecording(rng);
-    const net::MessageBuffer bytes = rec.serialize();
+    const util::MessageBuffer bytes = rec.serialize();
     const auto restored = replay::Recording::deserialize(bytes);
     ASSERT_TRUE(restored.has_value()) << "iteration " << iter;
     ASSERT_EQ(restored->size(), rec.size()) << "iteration " << iter;
@@ -194,7 +113,7 @@ TEST(RecordingFuzzTest, RandomTruncationsNeverCrash) {
     std::vector<std::uint8_t> prefix(bytes.begin(),
                                      bytes.begin() + static_cast<long>(cut));
     EXPECT_FALSE(
-        replay::Recording::deserialize(net::MessageBuffer(std::move(prefix)))
+        replay::Recording::deserialize(util::MessageBuffer(std::move(prefix)))
             .has_value())
         << "iteration " << iter << " cut " << cut;
   }
@@ -207,7 +126,7 @@ TEST(RecordingFuzzTest, RandomBitFlipsNeverCrashOrOverAllocate) {
     flipBits(rng, bytes);
     const std::size_t payload = bytes.size();
     const auto result =
-        replay::Recording::deserialize(net::MessageBuffer(std::move(bytes)));
+        replay::Recording::deserialize(util::MessageBuffer(std::move(bytes)));
     if (result.has_value()) {
       // Steps are at least 18 serialized bytes each: a parse that
       // "succeeded" off a corrupt count would violate this bound.
@@ -228,7 +147,7 @@ TEST(RecordingFuzzTest, OversizedCountFieldsAreRejectedWithoutAllocating) {
     // Step count sits after the 8-byte header + 92-byte v2 world block.
     std::memcpy(bytes.data() + 100, &huge, sizeof huge);
     EXPECT_FALSE(
-        replay::Recording::deserialize(net::MessageBuffer(std::move(bytes)))
+        replay::Recording::deserialize(util::MessageBuffer(std::move(bytes)))
             .has_value())
         << "iteration " << iter;
   }

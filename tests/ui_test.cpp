@@ -5,14 +5,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-
 namespace svq::ui {
 namespace {
 
 Event roundTrip(const Event& e) {
-  net::MessageBuffer buf;
+  util::MessageBuffer buf;
   serializeEvent(buf, e);
   buf.rewind();
   return deserializeEvent(buf);
@@ -82,14 +79,14 @@ TEST(EventSerdeTest, MetaFilterAllFieldsRoundTrip) {
   f.seed = traj::SeedState::kDroppedAtCapture;
   f.minDurationS = 1.5f;
   f.maxDurationS = 99.0f;
-  net::MessageBuffer buf;
+  util::MessageBuffer buf;
   serializeMetaFilter(buf, f);
   buf.rewind();
   EXPECT_EQ(deserializeMetaFilter(buf), f);
 }
 
 TEST(EventSerdeTest, EmptyMetaFilterRoundTrip) {
-  net::MessageBuffer buf;
+  util::MessageBuffer buf;
   serializeMetaFilter(buf, traj::MetaFilter{});
   buf.rewind();
   EXPECT_TRUE(deserializeMetaFilter(buf).isUnconstrained());
@@ -187,64 +184,6 @@ TEST(ScriptTest, RecordAndReplayInOrder) {
   ASSERT_EQ(notes.size(), 3u);
   EXPECT_EQ(notes[0], "first");
   EXPECT_EQ(notes[1], "second");
-}
-
-TEST(ScriptTest, SerializationRoundTrip) {
-  InputScript script;
-  BrushStrokeEvent b;
-  b.brushIndex = 1;
-  b.centerCm = {2.0f, 3.0f};
-  script.record(0.5, b, "H: ants go west");
-  GroupDefineEvent g;
-  g.groupId = 1;
-  g.cellRect = {0, 0, 3, 2};
-  g.filter.side = traj::CaptureSide::kWest;
-  script.record(1.0, g);
-
-  const auto restored = InputScript::deserialize(script.serialize());
-  ASSERT_TRUE(restored.has_value());
-  ASSERT_EQ(restored->size(), 2u);
-  EXPECT_DOUBLE_EQ(restored->events()[0].timeS, 0.5);
-  EXPECT_EQ(restored->events()[0].note, "H: ants go west");
-  EXPECT_EQ(std::get<BrushStrokeEvent>(restored->events()[0].event), b);
-  EXPECT_EQ(std::get<GroupDefineEvent>(restored->events()[1].event), g);
-}
-
-TEST(ScriptTest, DeserializeRejectsGarbage) {
-  net::MessageBuffer buf;
-  buf.putU32(0x12345678);  // wrong magic
-  EXPECT_FALSE(InputScript::deserialize(std::move(buf)).has_value());
-  net::MessageBuffer truncated;
-  truncated.putU32(0x53565153u);
-  truncated.putU32(5);  // claims 5 events, none present
-  EXPECT_FALSE(InputScript::deserialize(std::move(truncated)).has_value());
-}
-
-TEST(ScriptTest, DeserializeSortsByTime) {
-  InputScript script;
-  script.record(5.0, PageEvent{});
-  script.record(1.0, PageEvent{});  // out of order on purpose
-  const auto restored = InputScript::deserialize(script.serialize());
-  ASSERT_TRUE(restored.has_value());
-  EXPECT_LE(restored->events()[0].timeS, restored->events()[1].timeS);
-}
-
-TEST(ScriptTest, FileRoundTrip) {
-  InputScript script;
-  script.record(0.0, LayoutSwitchEvent{2}, "switch to 36x12");
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "svq_script_test.bin")
-          .string();
-  ASSERT_TRUE(script.saveBinary(path));
-  const auto loaded = InputScript::loadBinary(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->size(), 1u);
-  EXPECT_EQ(loaded->events()[0].note, "switch to 36x12");
-  std::remove(path.c_str());
-}
-
-TEST(ScriptTest, LoadMissingFileFails) {
-  EXPECT_FALSE(InputScript::loadBinary("/no/such/file.bin").has_value());
 }
 
 }  // namespace

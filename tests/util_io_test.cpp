@@ -30,6 +30,10 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
+std::vector<std::uint8_t> bytesOf(std::string_view s) {
+  return {s.begin(), s.end()};
+}
+
 // --- crc32c ----------------------------------------------------------------
 
 TEST(Crc32cTest, MatchesTheCastagnoliCheckValue) {
@@ -185,6 +189,19 @@ TEST(AtomicWriteTest, ReplacesExistingFileAtomically) {
   std::remove(path.c_str());
 }
 
+TEST(ReadFileTest, ReadsWholeFileAndRejectsMissingOrNonRegular) {
+  const std::string path = tempPath("svq_io_read.bin");
+  const std::vector<std::uint8_t> payload = {0, 1, 2, 0xFF, 0, 7};
+  ASSERT_TRUE(atomicWriteFile(path, payload).isOk());
+  EXPECT_EQ(readFile(path), payload);
+  ASSERT_TRUE(atomicWriteFile(path, std::string_view()).isOk());
+  EXPECT_EQ(readFile(path), std::vector<std::uint8_t>());
+  std::remove(path.c_str());
+  EXPECT_FALSE(readFile(path).has_value());
+  EXPECT_FALSE(readFile(std::filesystem::temp_directory_path().string())
+                   .has_value());
+}
+
 TEST(AtomicWriteTest, UnwritableTargetReportsIoError) {
   EXPECT_TRUE(
       atomicWriteFile("/no/such/dir/svq_io.bin", "payload").isIoError());
@@ -248,9 +265,9 @@ TEST(FaultInjectorTest, FaultRatesTrackTheConfiguredProbabilities) {
 
 TEST(FaultInjectorTest, CleanPlanInjectsNothing) {
   FaultInjector inj;
-  std::string payload = "untouched";
+  std::vector<std::uint8_t> payload = bytesOf("untouched");
   EXPECT_TRUE(inj.onRead(0, 0, payload).isOk());
-  EXPECT_EQ(payload, "untouched");
+  EXPECT_EQ(payload, bytesOf("untouched"));
   EXPECT_EQ(inj.faultFor(7), FaultInjector::ReadFault::kNone);
 }
 
@@ -258,16 +275,16 @@ TEST(FaultInjectorTest, BitFlipFlipsExactlyOneBitAndReportsOk) {
   FaultInjector::Plan plan;
   plan.bitFlipProbability = 1.0;
   FaultInjector inj(plan);
-  const std::string original = "payload bytes under test";
-  std::string payload = original;
+  const std::vector<std::uint8_t> original =
+      bytesOf("payload bytes under test");
+  std::vector<std::uint8_t> payload = original;
   // Bit flips report Ok: corruption is discovered by the caller's CRC
   // check, exactly like real silent media corruption.
   EXPECT_TRUE(inj.onRead(0, 0, payload).isOk());
   ASSERT_EQ(payload.size(), original.size());
   int bitsChanged = 0;
   for (std::size_t i = 0; i < payload.size(); ++i) {
-    unsigned char diff = static_cast<unsigned char>(payload[i]) ^
-                         static_cast<unsigned char>(original[i]);
+    unsigned diff = payload[i] ^ original[i];
     while (diff != 0) {
       bitsChanged += diff & 1;
       diff >>= 1;
@@ -277,7 +294,7 @@ TEST(FaultInjectorTest, BitFlipFlipsExactlyOneBitAndReportsOk) {
   EXPECT_EQ(inj.bitFlips(), 1u);
 
   // Persistent: the same shard gets the same flip on every attempt.
-  std::string again = original;
+  std::vector<std::uint8_t> again = original;
   EXPECT_TRUE(inj.onRead(0, 5, again).isOk());
   EXPECT_EQ(again, payload);
 }
@@ -287,11 +304,11 @@ TEST(FaultInjectorTest, TransientEioClearsAfterConfiguredAttempts) {
   plan.eioProbability = 1.0;
   plan.transientFailCount = 2;
   FaultInjector inj(plan);
-  std::string payload = "data";
+  std::vector<std::uint8_t> payload = bytesOf("data");
   EXPECT_TRUE(inj.onRead(3, 0, payload).isIoError());
   EXPECT_TRUE(inj.onRead(3, 1, payload).isIoError());
   EXPECT_TRUE(inj.onRead(3, 2, payload).isOk());
-  EXPECT_EQ(payload, "data");
+  EXPECT_EQ(payload, bytesOf("data"));
   EXPECT_EQ(inj.ioErrors(), 2u);
 }
 
@@ -300,7 +317,7 @@ TEST(FaultInjectorTest, PersistentEioNeverClears) {
   plan.eioProbability = 1.0;
   plan.transientFailCount = -1;
   FaultInjector inj(plan);
-  std::string payload = "data";
+  std::vector<std::uint8_t> payload = bytesOf("data");
   for (int attempt = 0; attempt < 32; ++attempt) {
     EXPECT_TRUE(inj.onRead(0, attempt, payload).isIoError());
   }
@@ -311,8 +328,8 @@ TEST(FaultInjectorTest, ShortReadTruncatesThenClears) {
   plan.shortReadProbability = 1.0;
   plan.transientFailCount = 1;
   FaultInjector inj(plan);
-  const std::string original(256, 'x');
-  std::string payload = original;
+  const std::vector<std::uint8_t> original(256, 'x');
+  std::vector<std::uint8_t> payload = original;
   EXPECT_TRUE(inj.onRead(0, 0, payload).isTruncated());
   EXPECT_LT(payload.size(), original.size());
   payload = original;
