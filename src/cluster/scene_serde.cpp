@@ -239,13 +239,14 @@ render::Framebuffer deserializeFramebuffer(MessageBuffer& buf) {
                           static_cast<std::uint64_t>(h) * sizeof(Color)) {
     throw net::MessageError("framebuffer payload size mismatch");
   }
-  render::Framebuffer fb(w, h);
+  // The copy writes every pixel, so the storage needs no fill first.
+  render::Framebuffer fb(w, h, render::Framebuffer::ForOverwrite{});
   if (!bytes.empty()) std::memcpy(&fb.at(0, 0), bytes.data(), bytes.size());
   return fb;
 }
 
 void serializeTilePacket(MessageBuffer& buf,
-                         const std::vector<TileImage>& tiles) {
+                         std::span<const TileImage> tiles) {
   buf.putU32(static_cast<std::uint32_t>(tiles.size()));
   for (const TileImage& t : tiles) {
     buf.putI32(t.tileIndex);

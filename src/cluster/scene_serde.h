@@ -20,6 +20,8 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "net/message.h"
@@ -119,7 +121,14 @@ struct TileImage {
 };
 
 void serializeTilePacket(net::MessageBuffer& buf,
-                         const std::vector<TileImage>& tiles);
+                         std::span<const TileImage> tiles);
+/// A braced list of tiles is serialized in place, not first copied into
+/// a vector.
+inline void serializeTilePacket(net::MessageBuffer& buf,
+                                std::initializer_list<TileImage> tiles) {
+  serializeTilePacket(buf,
+                      std::span<const TileImage>(tiles.begin(), tiles.size()));
+}
 std::vector<TileImage> deserializeTilePacket(net::MessageBuffer& buf);
 
 }  // namespace svq::cluster

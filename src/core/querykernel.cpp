@@ -114,7 +114,12 @@ void pointBrushAvx2(const BrushGridView& grid, const float* x, const float* y,
       out[i + l] = static_cast<std::int8_t>((t & valid[l]) | ~valid[l]);
     }
   }
-  if (i < n) pointBrushScalar(grid, x + i, y + i, out + i, n - i);
+  if (i < n) {
+    // GCC emits this tail call as a jump that skips the function's own
+    // vzeroupper, so clear the upper YMM state before non-AVX code runs.
+    _mm256_zeroupper();
+    pointBrushScalar(grid, x + i, y + i, out + i, n - i);
+  }
 }
 
 #else  // !SVQ_X86

@@ -87,6 +87,15 @@ Framebuffer::Framebuffer(int width, int height, Color fill)
   pixels_.assign(pixelCount(), fill);
 }
 
+// Taken storage keeps its stale pixels for the caller to overwrite;
+// resize() only value-initializes what takePixels() could not supply.
+Framebuffer::Framebuffer(int width, int height, ForOverwrite)
+    : width_(std::max(0, width)),
+      height_(std::max(0, height)),
+      pixels_(takePixels(pixelCount())) {
+  pixels_.resize(pixelCount());
+}
+
 Framebuffer::Framebuffer(const Framebuffer& other)
     : width_(other.width_),
       height_(other.height_),

@@ -17,13 +17,21 @@ namespace svq::render {
 /// Pixel storage of 1 MiB or more is recycled: a framebuffer that lets go
 /// of it (destroyed, moved onto, or copy-assigned another size) parks it
 /// in a process-wide, byte-capped free list, and the next framebuffer
-/// constructed (filled or copied) at exactly that size takes it instead
-/// of faulting in fresh pages. Storage is always fully overwritten before
-/// use, so no stale pixel is visible.
+/// constructed at exactly that size takes it instead of faulting in fresh
+/// pages. Storage is always fully overwritten before anyone reads it, so
+/// no stale pixel is visible: the filled and copy constructors overwrite
+/// it themselves; a ForOverwrite framebuffer leaves that to its caller.
 class Framebuffer {
  public:
+  /// Constructor tag for a caller that writes every pixel before the
+  /// framebuffer leaves it (a decoder's copy, a compose whose tiles cover
+  /// the image): recycled storage is taken as it is, without the fill.
+  /// Fresh storage is still value-initialized once.
+  struct ForOverwrite {};
+
   Framebuffer() = default;
   Framebuffer(int width, int height, Color fill = colors::kBlack);
+  Framebuffer(int width, int height, ForOverwrite);
   Framebuffer(const Framebuffer& other);
   Framebuffer(Framebuffer&& other) noexcept;
   Framebuffer& operator=(const Framebuffer& other);

@@ -1,7 +1,10 @@
 #include "wall/compositor.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "render/color.h"
 
@@ -12,8 +15,23 @@ using render::Framebuffer;
 
 Framebuffer composeActivePixels(const WallSpec& spec,
                                 const std::vector<Framebuffer>& tiles) {
-  assert(static_cast<int>(tiles.size()) == spec.tileCount());
-  Framebuffer out(spec.totalPxW(), spec.totalPxH());
+  if (tiles.size() != static_cast<std::size_t>(spec.tileCount())) {
+    throw std::invalid_argument(
+        "composeActivePixels: " + std::to_string(tiles.size()) +
+        " tiles for a wall of " + std::to_string(spec.tileCount()));
+  }
+  // Tiles of exactly the tile size partition the wall, so their blits
+  // write every pixel and a fill would only be overwritten. An empty or
+  // short tile (degraded compositing) leaves black where it does not land.
+  const TileSpec& t = spec.tile();
+  const bool covered =
+      std::all_of(tiles.begin(), tiles.end(), [&t](const Framebuffer& tile) {
+        return tile.width() == t.pxW && tile.height() == t.pxH;
+      });
+  Framebuffer out =
+      covered ? Framebuffer(spec.totalPxW(), spec.totalPxH(),
+                            Framebuffer::ForOverwrite{})
+              : Framebuffer(spec.totalPxW(), spec.totalPxH());
   for (int i = 0; i < spec.tileCount(); ++i) {
     const RectI r = spec.tileRectPx(spec.tileFromIndex(i));
     out.blit(tiles[static_cast<std::size_t>(i)], r.x, r.y);

@@ -15,8 +15,9 @@
 namespace svq::wall {
 
 /// Stitches per-tile framebuffers (row-major tile order, each sized
-/// tile.pxW x tile.pxH) into the contiguous global-pixel image.
-/// Tiles vector must have spec.tileCount() entries.
+/// tile.pxW x tile.pxH) into the contiguous global-pixel image. Pixels
+/// that no tile covers (an empty or short tile) are black. Throws
+/// std::invalid_argument unless `tiles` has spec.tileCount() entries.
 render::Framebuffer composeActivePixels(
     const WallSpec& spec, const std::vector<render::Framebuffer>& tiles);
 

@@ -241,6 +241,44 @@ TEST(SceneSerdeTest, PaperTileSizePacketRoundTripsBitIdentically) {
   }
 }
 
+TEST(SceneSerdeTest, DecodeOverStaleRecycledStorageEqualsTheSentImage) {
+  const std::vector<TileImage> sent = patternedTiles(1366, 768, 1);
+  net::MessageBuffer buf;
+  serializeTilePacket(buf, sent);
+  buf.rewind();
+  // Park a magenta tile's storage: the decoder takes it, stale pixels and
+  // all, and its copy must overwrite every one.
+  const render::Color* parked = nullptr;
+  {
+    const render::Framebuffer stale(1366, 768,
+                                    render::Color{255, 0, 255, 255});
+    parked = stale.pixels().data();
+  }
+  const std::vector<TileImage> restored = deserializeTilePacket(buf);
+  ASSERT_EQ(restored.size(), 1u);
+  const render::Framebuffer& got = restored.front().image;
+  EXPECT_EQ(got.pixels().data(), parked) << "storage was not reused";
+  EXPECT_EQ(got.width(), 1366);
+  EXPECT_EQ(got.height(), 768);
+  EXPECT_TRUE(got.pixels() == sent.front().image.pixels());
+}
+
+TEST(SceneSerdeTest, BracedListPacketEqualsVectorPacket) {
+  const std::vector<TileImage> tiles = patternedTiles(1366, 768, 2);
+  net::MessageBuffer fromVector;
+  serializeTilePacket(fromVector, tiles);
+  net::MessageBuffer fromList;
+  serializeTilePacket(fromList, {tiles[0], tiles[1]});
+  EXPECT_TRUE(fromList.bytes() == fromVector.bytes());
+
+  // The single-tile form a render rank ships each target in.
+  net::MessageBuffer one;
+  serializeTilePacket(one, {TileImage{tiles[0].tileIndex, tiles[0].image}});
+  net::MessageBuffer oneFromVector;
+  serializeTilePacket(oneFromVector, std::vector<TileImage>{tiles[0]});
+  EXPECT_TRUE(one.bytes() == oneFromVector.bytes());
+}
+
 class ClusterRenderTest
     : public ::testing::TestWithParam<std::pair<int, int>> {};
 

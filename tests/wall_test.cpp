@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 namespace svq::wall {
 namespace {
 
@@ -176,6 +179,89 @@ TEST(CompositorTest, ActivePixelsRoundTrip) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(split[static_cast<std::size_t>(i)].contentHash(),
               tiles[static_cast<std::size_t>(i)].contentHash());
+  }
+}
+
+/// Tile `index`, patterned so that every pixel of the wall image names
+/// its tile and position.
+Framebuffer patternedTile(int index, int w, int h) {
+  Framebuffer tile(w, h);
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      tile.at(x, y) = Color{static_cast<std::uint8_t>(x + index),
+                            static_cast<std::uint8_t>(y),
+                            static_cast<std::uint8_t>(20 * index), 255};
+    }
+  }
+  return tile;
+}
+
+/// One full-size patterned tile per tile of `wall`.
+std::vector<Framebuffer> patternedTiles(const WallSpec& wall) {
+  std::vector<Framebuffer> tiles;
+  for (int i = 0; i < wall.tileCount(); ++i) {
+    tiles.push_back(patternedTile(i, wall.tile().pxW, wall.tile().pxH));
+  }
+  return tiles;
+}
+
+/// Parks the storage of a wall-sized magenta image, so the next compose
+/// of `wall` is handed stale, non-black pixels. Returns that storage.
+const Color* parkStaleWallStorage(const WallSpec& wall) {
+  const Framebuffer stale(wall.totalPxW(), wall.totalPxH(),
+                          Color{255, 0, 255, 255});
+  return stale.pixels().data();
+}
+
+/// Wall pixels that differ from tile `i`'s pixel at the same place, or
+/// from black where tile `i` does not reach.
+std::size_t pixelsNotFromTiles(const WallSpec& wall,
+                               const std::vector<Framebuffer>& tiles,
+                               const Framebuffer& composed) {
+  std::size_t wrong = 0;
+  for (int i = 0; i < wall.tileCount(); ++i) {
+    const RectI r = wall.tileRectPx(wall.tileFromIndex(i));
+    const Framebuffer& tile = tiles[static_cast<std::size_t>(i)];
+    for (int y = 0; y < r.h; ++y) {
+      for (int x = 0; x < r.w; ++x) {
+        const Color want = x < tile.width() && y < tile.height()
+                               ? tile.at(x, y)
+                               : render::colors::kBlack;
+        wrong += composed.at(r.x + x, r.y + y) == want ? 0 : 1;
+      }
+    }
+  }
+  return wrong;
+}
+
+TEST(CompositorTest, FullTilesOverwriteStaleRecycledStorage) {
+  const WallSpec wall = cyberCommonsUsedRegion();
+  const std::vector<Framebuffer> tiles = patternedTiles(wall);
+  const Color* parked = parkStaleWallStorage(wall);
+  const Framebuffer composed = composeActivePixels(wall, tiles);
+  EXPECT_EQ(composed.pixels().data(), parked) << "storage was not reused";
+  ASSERT_EQ(composed.width(), wall.totalPxW());
+  ASSERT_EQ(composed.height(), wall.totalPxH());
+  EXPECT_EQ(pixelsNotFromTiles(wall, tiles, composed), 0u);
+}
+
+TEST(CompositorTest, UncoveredPixelsAreBlackOverStaleRecycledStorage) {
+  const WallSpec wall = cyberCommonsUsedRegion();
+  std::vector<Framebuffer> tiles = patternedTiles(wall);
+  tiles[3] = Framebuffer();                          // a dead rank's slot
+  tiles[7] = patternedTile(7, wall.tile().pxW, 700);  // a short tile
+  const Color* parked = parkStaleWallStorage(wall);
+  const Framebuffer composed = composeActivePixels(wall, tiles);
+  EXPECT_EQ(composed.pixels().data(), parked) << "storage was not reused";
+  EXPECT_EQ(pixelsNotFromTiles(wall, tiles, composed), 0u);
+}
+
+TEST(CompositorTest, WrongTileCountThrows) {
+  const WallSpec wall(TileSpec{8, 4, 16.0f, 8.0f, 1.0f}, 2, 2);
+  for (std::size_t count : {0u, 3u, 5u}) {
+    const std::vector<Framebuffer> tiles(count, Framebuffer(8, 4));
+    EXPECT_THROW(composeActivePixels(wall, tiles), std::invalid_argument)
+        << count << " tiles";
   }
 }
 
