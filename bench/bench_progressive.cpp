@@ -17,6 +17,16 @@
 //   time_to_exact  begin() + refineStep() loop to convergence + final
 //                  scene + raster. The printed curve samples (ms,
 //                  coverage) after every step.
+//   drill_sequence one long-lived query through seeded rounds of edits
+//                  like perfbench's anytime_drill (three dabs, a window
+//                  widen and a narrow, a clear), converging after each,
+//                  over the store reopened with a quarter-file cache
+//                  budget. Reports read_frac — shards read over unpruned
+//                  shards, summed over the edits: 1.0 when every edit
+//                  re-reads every shard the summaries cannot prove out,
+//                  lower as kept verdicts resolve shards without IO — and
+//                  the shard cache's hit_ratio. Both are counts, not
+//                  timings.
 //   shard_crc32c   io::crc32c, which every shard-cache miss runs over its
 //                  payload, against a byte-wise table loop local to this
 //                  bench on one seeded 256 KiB buffer. Every value test
@@ -26,7 +36,8 @@
 // Acceptance checks (non-zero exit on failure):
 //   - checksum identity: io::crc32c equals the byte-wise loop,
 //   - exactness: converged estimates equal exactReference bit-for-bit,
-//     for refinement chunk sizes 1 / 3 / unbounded,
+//     for refinement chunk sizes 1 / 3 / unbounded, and after every edit
+//     of the drill sequence,
 //   - render bit-identity: the converged progressive scene rasters to
 //     the same pixels as the exact-reference scene at 1/4/8 render
 //     threads, with the shared cell cache on and off,
@@ -37,7 +48,9 @@
 // scripts/perf_smoke.py against bench/baselines/
 // BENCH_progressive_smoke.json). --smoke shrinks the store for CI;
 // --out=PATH overrides the report path.
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -155,6 +168,99 @@ bool shardCrcScenario(bench::BenchReport& report) {
                  "FAIL: io::crc32c differs from the byte-wise loop\n");
   }
   return identical;
+}
+
+/// The drill_sequence scenario (see the file comment). Returns false
+/// unless every converged state equals exactReference.
+bool drillSequenceScenario(const std::string& storePath,
+                           const traj::SomParams& sp,
+                           const traj::FeatureParams& fp, float radiusCm,
+                           float maxDurationS, int rounds,
+                           bench::BenchReport& report) {
+  traj::ShardStoreOptions so;
+  so.cacheBudgetBytes =
+      static_cast<std::size_t>(std::filesystem::file_size(storePath) / 4);
+  auto store = traj::ShardStore::open(storePath, so);
+  if (!store) {
+    std::fprintf(stderr, "FAIL: cannot reopen shard store\n");
+    return false;
+  }
+  const core::ShardSomExplorer explorer(*store, sp, fp);
+  const double shards = static_cast<double>(store->shardCount());
+
+  struct Converged {
+    core::BrushGrid brush;
+    core::QueryParams params;
+    std::vector<core::ClusterEstimate> estimates;
+  };
+  std::vector<Converged> converged;
+  std::vector<double> editMs;
+  double reads = 0.0;
+  double unpruned = 0.0;
+
+  core::BrushCanvas canvas(radiusCm, 256);
+  core::QueryParams params;
+  params.timeWindow = {0.0f, maxDurationS};
+  core::ProgressiveClusterQuery query(explorer);
+  Rng rng(0xD2111ULL);
+  const traj::ShardCacheStats before = store->cacheStats();
+  auto apply = [&] {
+    Stopwatch w;
+    query.begin(canvas.grid(), params);
+    while (!query.converged()) query.refineStep(2);
+    editMs.push_back(w.elapsedMillis());
+    reads += static_cast<double>(query.refinedShardCount());
+    unpruned += shards - static_cast<double>(query.prunedShards());
+    converged.push_back({canvas.grid(), params, query.estimates()});
+  };
+  for (int round = 0; round < rounds; ++round) {
+    const auto brush = static_cast<std::int8_t>(round % 3);
+    const float angle = rng.uniform(0.0f, 6.2831853f);
+    const float reach = rng.uniform(0.1f, 0.6f) * radiusCm;
+    for (int dab = 0; dab < 3; ++dab) {
+      const float a = angle + rng.uniform(-0.4f, 0.4f);
+      const float r = reach + rng.uniform(-0.08f, 0.08f) * radiusCm;
+      canvas.addStroke({brush, {std::cos(a) * r, std::sin(a) * r},
+                        rng.uniform(0.1f, 0.24f) * radiusCm});
+      apply();
+    }
+    params.timeWindow = {0.0f, maxDurationS};  // widen
+    apply();
+    params.timeWindow = {0.0f, rng.uniform(0.15f, 0.7f) * maxDurationS};
+    apply();
+    canvas.clear(brush);
+    apply();
+  }
+  const traj::ShardCacheStats after = store->cacheStats();
+
+  // Checked after the loop: exactReference reads every member through
+  // the store, and that traffic must stay out of the measured cache.
+  bool ok = true;
+  for (std::size_t e = 0; e < converged.size(); ++e) {
+    const Converged& c = converged[e];
+    if (c.estimates != core::ProgressiveClusterQuery::exactReference(
+                           explorer, c.brush, c.params)) {
+      std::fprintf(stderr,
+                   "FAIL: drill edit %zu converged to estimates that differ "
+                   "from exactReference\n",
+                   e);
+      ok = false;
+    }
+  }
+  const double hits = static_cast<double>(after.hits - before.hits);
+  const double misses = static_cast<double>(after.misses - before.misses);
+  const double readFrac = unpruned > 0.0 ? reads / unpruned : 0.0;
+  const double hitRatio = hits + misses > 0.0 ? hits / (hits + misses) : 0.0;
+  auto& s = report.add("drill_sequence", editMs);
+  s.counters["edits"] = static_cast<double>(editMs.size());
+  s.counters["read_frac"] = readFrac;
+  s.counters["hit_ratio"] = hitRatio;
+  s.counters["exact"] = ok ? 1.0 : 0.0;
+  std::printf("drill sequence: %zu edits, read_frac %.3f (%.0f of %.0f "
+              "unpruned shards read), hit_ratio %.3f, converged states %s\n",
+              editMs.size(), readFrac, reads, unpruned, hitRatio,
+              ok ? "exact" : "DIFFER");
+  return ok;
 }
 
 int run(const Options& opt) {
@@ -318,6 +424,13 @@ int run(const Options& opt) {
         }
       }
     }
+  }
+
+  // --- drill sequence: kept verdicts across edits ----------------------------
+  if (!drillSequenceScenario(storePath, sp, fp, ds.arena().radiusCm,
+                             std::max(1.0f, ds.maxDuration()),
+                             opt.smoke ? 6 : 12, report)) {
+    ok = false;
   }
 
   // --- shard checksum: dispatched vs byte-wise ------------------------------

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 
 namespace svq::core {
 
@@ -18,41 +20,66 @@ AnytimeOptions AnytimeOptions::fromEnv() {
   return options;
 }
 
+namespace {
+
+using CellMask = std::array<std::uint64_t, traj::ShardSummary::kWords>;
+constexpr int kCellDim = traj::ShardSummary::kGridDim;
+
+/// The summary cells [first, last] that texel row or column `t` of a
+/// `res`-texel axis overlaps: texel t spans the arena fraction
+/// [t/res, (t+1)/res), cell c spans [c/kDim, (c+1)/kDim) — integer floor
+/// arithmetic, exact for any resolution. paintTouchMask and begin()'s
+/// texel diff both map texels to cells through it.
+std::pair<int, int> texelCellSpan(int t, int res) {
+  return {t * kCellDim / res, ((t + 1) * kCellDim - 1) / res};
+}
+
+void markCells(CellMask& mask, std::pair<int, int> xs, std::pair<int, int> ys) {
+  for (int cy = ys.first; cy <= ys.second; ++cy) {
+    for (int cx = xs.first; cx <= xs.second; ++cx) {
+      const int bit = cy * kCellDim + cx;
+      mask[static_cast<std::size_t>(bit) / 64] |= 1ull << (bit % 64);
+    }
+  }
+}
+
+bool meets(const CellMask& a, const CellMask& b) {
+  for (std::size_t w = 0; w < a.size(); ++w) {
+    if ((a[w] & b[w]) != 0) return true;
+  }
+  return false;
+}
+
+/// The mask and the occupancy grid must partition the *same* arena
+/// square, or a texel's cells are not the cells its points land in.
+bool sameArena(float brushRadiusCm, float summaryRadiusCm) {
+  const float tolerance = 1e-4f * std::max(1.0f, std::abs(summaryRadiusCm));
+  return std::abs(brushRadiusCm - summaryRadiusCm) <= tolerance;
+}
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
+
+}  // namespace
+
 std::array<std::uint64_t, traj::ShardSummary::kWords> paintTouchMask(
     const BrushGrid& brush, float summaryArenaRadiusCm) {
-  std::array<std::uint64_t, traj::ShardSummary::kWords> mask{};
+  CellMask mask{};
   const BrushGridView view = brush.view();
   if (view.texels == nullptr || view.resolution <= 0) return mask;
 
-  // The mask and the occupancy grid must partition the *same* arena
-  // square or the superset guarantee breaks. A mismatch disables pruning
-  // entirely (all-ones mask) instead of risking a wrong definitely-out.
-  const float tolerance =
-      1e-4f * std::max(1.0f, std::abs(summaryArenaRadiusCm));
-  if (std::abs(view.arenaRadiusCm - summaryArenaRadiusCm) > tolerance) {
+  // A radius mismatch disables pruning entirely (all-ones mask) instead
+  // of risking a wrong definitely-out.
+  if (!sameArena(view.arenaRadiusCm, summaryArenaRadiusCm)) {
     mask.fill(~0ull);
     return mask;
   }
 
-  constexpr int kDim = traj::ShardSummary::kGridDim;
   const int res = view.resolution;
   for (int ty = 0; ty < res; ++ty) {
-    // Cells a texel row/column overlaps: texel t spans the arena fraction
-    // [t/res, (t+1)/res), cell c spans [c/kDim, (c+1)/kDim) — integer
-    // floor arithmetic, exact for any resolution.
-    const int cy0 = ty * kDim / res;
-    const int cy1 = ((ty + 1) * kDim - 1) / res;
+    const std::pair<int, int> ys = texelCellSpan(ty, res);
     const std::int8_t* row = view.texels + static_cast<std::size_t>(ty) * res;
     for (int tx = 0; tx < res; ++tx) {
-      if (row[tx] == kNoBrush) continue;
-      const int cx0 = tx * kDim / res;
-      const int cx1 = ((tx + 1) * kDim - 1) / res;
-      for (int cy = cy0; cy <= cy1; ++cy) {
-        for (int cx = cx0; cx <= cx1; ++cx) {
-          const int bit = cy * kDim + cx;
-          mask[static_cast<std::size_t>(bit) / 64] |= 1ull << (bit % 64);
-        }
-      }
+      if (row[tx] != kNoBrush) markCells(mask, texelCellSpan(tx, res), ys);
     }
   }
   return mask;
@@ -60,44 +87,118 @@ std::array<std::uint64_t, traj::ShardSummary::kWords> paintTouchMask(
 
 ProgressiveClusterQuery::ProgressiveClusterQuery(
     const ShardSomExplorer& explorer, AnytimeOptions options)
-    : explorer_(&explorer), options_(options) {
+    : explorer_(&explorer),
+      options_(options),
+      members_(explorer.store().trajectoryCount()) {
   const traj::ShardClustering& clustering = explorer.clustering();
   const std::vector<std::uint32_t>& displayable =
       explorer.displayableClusters();
 
-  slotOfNode_.assign(clustering.nodeCount(), UINT32_MAX);
+  std::vector<std::uint32_t> slotOfNode(clustering.nodeCount(), kNoSlot);
   for (std::size_t slot = 0; slot < displayable.size(); ++slot) {
-    slotOfNode_[displayable[slot]] = static_cast<std::uint32_t>(slot);
+    slotOfNode[displayable[slot]] = static_cast<std::uint32_t>(slot);
+  }
+  const std::size_t assigned =
+      std::min(members_.size(), clustering.assignment.size());
+  for (std::size_t g = 0; g < assigned; ++g) {
+    const std::uint32_t node = clustering.assignment[g];
+    if (node < slotOfNode.size()) members_[g].slot = slotOfNode[node];
+  }
+}
+
+void ProgressiveClusterQuery::dirtyFlippable(const BrushGrid& brush,
+                                             const QueryParams& params,
+                                             float summaryArenaRadiusCm) {
+  const BrushGridView was = brush_.view();
+  const BrushGridView now = brush.view();
+  const Vec2 w0 = params_.timeWindow;
+  const Vec2 w1 = params.timeWindow;
+  const bool everything =
+      params.brushCount != params_.brushCount ||
+      params_.relativeWindow.has_value() || params.relativeWindow.has_value() ||
+      now.resolution <= 0 || now.texels == nullptr || was.texels == nullptr ||
+      now.resolution != was.resolution ||
+      now.arenaRadiusCm != was.arenaRadiusCm ||
+      !sameArena(now.arenaRadiusCm, summaryArenaRadiusCm) ||
+      std::isnan(w0.x) || std::isnan(w0.y) || std::isnan(w1.x) ||
+      std::isnan(w1.y);
+  if (everything) {
+    for (Member& m : members_) m.clean = false;
+    return;
   }
 
-  const traj::ShardStore& store = explorer.store();
-  shardBuckets_.resize(store.shardCount());
-  for (std::size_t s = 0; s < store.shardCount(); ++s) {
-    const traj::ShardInfo& info = store.shardInfo(s);
-    auto& buckets = shardBuckets_[s];
-    for (std::uint32_t i = 0; i < info.trajectoryCount; ++i) {
-      const std::uint64_t g = info.firstGlobalIndex + i;
-      if (g >= clustering.assignment.size()) break;
-      const std::uint32_t node = clustering.assignment[g];
-      if (node == traj::ShardClustering::kUnassigned ||
-          node >= slotOfNode_.size()) {
-        continue;
-      }
-      const std::uint32_t slot = slotOfNode_[node];
-      if (slot == UINT32_MAX) continue;
-      auto it = std::find_if(buckets.begin(), buckets.end(),
-                             [slot](const auto& b) { return b.first == slot; });
-      if (it == buckets.end()) {
-        buckets.emplace_back(slot, 1u);
-      } else {
-        ++it->second;
-      }
+  // Texel diff: each changed texel adds hits, removes them, or both.
+  CellMask adds{};
+  CellMask removes{};
+  bool painted = false;
+  const int res = now.resolution;
+  const std::size_t brushCount = params.brushCount;
+  for (int ty = 0; ty < res; ++ty) {
+    const std::size_t row = static_cast<std::size_t>(ty) * res;
+    const std::int8_t* a = was.texels + row;
+    const std::int8_t* b = now.texels + row;
+    if (std::memcmp(a, b, static_cast<std::size_t>(res)) == 0) continue;
+    const std::pair<int, int> ys = texelCellSpan(ty, res);
+    for (int tx = 0; tx < res; ++tx) {
+      if (a[tx] == b[tx]) continue;
+      const bool aCounted = countedBrush(a[tx], brushCount);
+      const bool bCounted = countedBrush(b[tx], brushCount);
+      // Uncounted paint still masks a segment's later probes, so a change
+      // to or from it can turn a hit into a miss and back.
+      const bool uncounted = (a[tx] != kNoBrush && !aCounted) ||
+                             (b[tx] != kNoBrush && !bCounted);
+      const std::pair<int, int> xs = texelCellSpan(tx, res);
+      if (uncounted || a[tx] == kNoBrush) markCells(adds, xs, ys);
+      if (uncounted || b[tx] == kNoBrush) markCells(removes, xs, ys);
+      painted = true;
     }
   }
+
+  // Window edges: the interval each moved edge swept, and whether moving
+  // it widened the window (adds hits) or narrowed it (removes them).
+  struct Edge {
+    float lo, hi;
+    bool adds;
+  };
+  std::array<Edge, 2> edges{};
+  std::size_t edgeCount = 0;
+  if (w1.x != w0.x) {
+    edges[edgeCount++] = {std::min(w0.x, w1.x), std::max(w0.x, w1.x),
+                          w1.x < w0.x};
+  }
+  if (w1.y != w0.y) {
+    edges[edgeCount++] = {std::min(w0.y, w1.y), std::max(w0.y, w1.y),
+                          w1.y > w0.y};
+  }
+  if (!painted && edgeCount == 0) return;
+
+  for (Member& m : members_) {
+    if (!m.clean) continue;
+    // A hit can only flip through removals, a miss through additions.
+    bool flips = meets(m.cells, m.hit ? removes : adds);
+    for (std::size_t e = 0; e < edgeCount && !flips; ++e) {
+      flips = edges[e].adds != m.hit && m.tMax >= edges[e].lo &&
+              m.tMin <= edges[e].hi;
+    }
+    if (flips) m.clean = false;
+  }
+}
+
+std::pair<std::uint64_t, std::uint64_t> ProgressiveClusterQuery::memberRange(
+    std::size_t shard) const {
+  const traj::ShardInfo& info = explorer_->store().shardInfo(shard);
+  const std::uint64_t size = members_.size();
+  const std::uint64_t first = std::min(info.firstGlobalIndex, size);
+  return {first, std::min(first + info.trajectoryCount, size)};
 }
 
 void ProgressiveClusterQuery::begin(const BrushGrid& brush,
                                     const QueryParams& params) {
+  const traj::ShardStore& store = explorer_->store();
+  const float summaryRadius = store.arena().radiusCm;
+  // Before the first begin() every member is dirty already.
+  if (active_) dirtyFlippable(brush, params, summaryRadius);
+
   brush_ = brush;
   params_ = params;
   active_ = true;
@@ -127,15 +228,23 @@ void ProgressiveClusterQuery::begin(const BrushGrid& brush,
   // mask and the absolute time window, under the latency budget. v3
   // stores answer summary() from the footer (no IO); v2 stores pay one
   // lazy rebuild per shard, which is exactly the work the deadline
-  // bounds — expiry leaves the rest uncertain, never wrong.
-  const traj::ShardStore& store = explorer_->store();
-  const auto mask = paintTouchMask(brush_, store.arena().radiusCm);
+  // bounds — expiry leaves the rest uncertain, never wrong. A shard the
+  // summary cannot prove out, but with no dirty member, resolves from
+  // the kept verdicts — also without IO. A quarantined shard always
+  // goes to refinement, which counts its members lost.
+  const auto mask = paintTouchMask(brush_, summaryRadius);
   const util::Deadline deadline =
       util::Deadline::after(options_.prepassBudgetUs, options_.clock);
 
   for (std::size_t s = 0; s < store.shardCount(); ++s) {
+    const auto [first, last] = memberRange(s);
     std::uint32_t assigned = 0;
-    for (const auto& [slot, count] : shardBuckets_[s]) assigned += count;
+    bool dirty = false;
+    for (std::uint64_t g = first; g < last; ++g) {
+      if (members_[g].slot == kNoSlot) continue;
+      ++assigned;
+      dirty = dirty || !members_[g].clean;
+    }
     if (assigned == 0) continue;  // nothing displayed lives here
 
     if (!deadline.expired()) {
@@ -145,19 +254,25 @@ void ProgressiveClusterQuery::begin(const BrushGrid& brush,
                                         params_.timeWindow.x > summary->tMax);
         if (temporalOut || !summary->intersects(mask)) {
           ++prunedShards_;
-          resolveShardEmpty(s);
+          resolveShardEmpty(s, *summary);
           continue;
         }
       }
     }
+    if (!dirty && !store.isQuarantined(s)) {
+      applyVerdicts(first, last, last);
+      continue;
+    }
     pending_.push_back(
-        {static_cast<std::uint32_t>(s), assigned});
+        {static_cast<std::uint32_t>(s), assigned, store.isResident(s)});
   }
 
-  // Largest population first: each refinement step retires the most
-  // uncertainty it can. Shard index breaks ties so the order is total.
+  // Resident shards first (a cache hit never evicts, so they cost no
+  // read), then largest population first: each refinement step retires
+  // the most uncertainty it can. Shard index makes the order total.
   std::sort(pending_.begin(), pending_.end(),
             [](const ShardWork& a, const ShardWork& b) {
+              if (a.resident != b.resident) return a.resident;
               if (a.assignedMembers != b.assignedMembers) {
                 return a.assignedMembers > b.assignedMembers;
               }
@@ -181,56 +296,85 @@ std::size_t ProgressiveClusterQuery::refineStep(
 
 void ProgressiveClusterQuery::resolveShardExact(std::size_t shard) {
   const traj::ShardStore& store = explorer_->store();
-  const auto& buckets = shardBuckets_[shard];
   const std::shared_ptr<const traj::TrajectoryDataset> ds = store.shard(shard);
-  if (!ds) {
-    // Quarantined at refinement time: its members can never be evaluated.
-    // Count them refined with zero hits so the query still converges;
-    // lostMembers() surfaces the gap. Quarantine is deterministic for a
-    // given file + fault seed, so this stays bit-identical too.
-    for (const auto& [slot, count] : buckets) {
-      estimates_[slot].refinedMembers += count;
-      lostMembers_ += count;
+  const auto [first, last] = memberRange(shard);
+  // Readable members: those the decoded shard holds. The rest (all of a
+  // quarantined shard's) can never be evaluated and stay as they are.
+  const std::uint64_t readable =
+      ds == nullptr ? first : std::min<std::uint64_t>(last, first + ds->size());
+
+  dirty_.clear();
+  for (std::uint64_t g = first; g < readable; ++g) {
+    if (members_[g].slot != kNoSlot && !members_[g].clean) dirty_.push_back(g);
+  }
+  const float radius = store.arena().radiusCm;
+  auto evaluateDirty = [&](std::size_t k) {
+    Member& m = members_[dirty_[k]];
+    const auto local = static_cast<std::uint32_t>(dirty_[k] - first);
+    const traj::Trajectory& trajectory = (*ds)[local];
+    if (!m.exactFootprint) {
+      traj::ShardSummary footprint;
+      bool anyPoint = false;
+      traj::foldProbePoints(trajectory, radius, footprint, anyPoint);
+      keepFootprint(m, footprint);
+      m.exactFootprint = true;
     }
-    return;
+    m.hit = anyHighlight({&trajectory, local}, brush_, params_);
+    m.clean = true;
+  };
+  // The dispatch evaluate() uses; parallelFor runs fewer than two grains
+  // inline. Verdicts are per trajectory, so the result is order- and
+  // thread-count-invariant.
+  if (params_.parallel) {
+    parallelFor(0, dirty_.size(), evaluateDirty, 8);
+  } else {
+    for (std::size_t k = 0; k < dirty_.size(); ++k) evaluateDirty(k);
   }
 
-  const traj::ShardClustering& clustering = explorer_->clustering();
-  const std::uint64_t first = store.shardInfo(shard).firstGlobalIndex;
-  std::vector<std::uint32_t> locals;
-  std::vector<std::uint32_t> localSlot;
-  locals.reserve(ds->size());
-  localSlot.reserve(ds->size());
-  for (std::uint32_t i = 0; i < ds->size(); ++i) {
-    const std::uint64_t g = first + i;
-    if (g >= clustering.assignment.size()) break;
-    const std::uint32_t node = clustering.assignment[g];
-    if (node == traj::ShardClustering::kUnassigned ||
-        node >= slotOfNode_.size()) {
-      continue;
-    }
-    const std::uint32_t slot = slotOfNode_[node];
-    if (slot == UINT32_MAX) continue;
-    locals.push_back(i);
-    localSlot.push_back(slot);
-  }
+  applyVerdicts(first, readable, last);
+}
 
-  // Per-trajectory verdicts are independent, so folding them as integer
-  // sums is order- and thread-count-invariant.
-  const std::vector<TrajectoryRef> refs = makeRefs(*ds, locals);
-  const QueryResult result = evaluate(refs, brush_, params_);
-  for (std::size_t k = 0; k < refs.size(); ++k) {
-    ClusterEstimate& est = estimates_[localSlot[k]];
-    ++est.refinedMembers;
-    if (k < result.summaries.size() && result.summaries[k].anyHighlight()) {
-      ++est.exactHits;
-    }
+void ProgressiveClusterQuery::resolveShardEmpty(
+    std::size_t shard, const traj::ShardSummary& summary) {
+  const auto [first, last] = memberRange(shard);
+  for (std::uint64_t g = first; g < last; ++g) {
+    Member& m = members_[g];
+    if (m.slot == kNoSlot) continue;
+    ++estimates_[m.slot].refinedMembers;
+    m.clean = true;
+    m.hit = false;
+    // The summary covers every member's probe points and sample times.
+    if (!m.exactFootprint) keepFootprint(m, summary);
   }
 }
 
-void ProgressiveClusterQuery::resolveShardEmpty(std::size_t shard) {
-  for (const auto& [slot, count] : shardBuckets_[shard]) {
-    estimates_[slot].refinedMembers += count;
+void ProgressiveClusterQuery::keepFootprint(
+    Member& m, const traj::ShardSummary& footprint) {
+  m.cells = footprint.occupancy;
+  // A NaN first sample leaves the folded range NaN: cover all time.
+  const bool ranged = footprint.tMin <= footprint.tMax;
+  m.tMin = ranged ? footprint.tMin : -kInf;
+  m.tMax = ranged ? footprint.tMax : kInf;
+}
+
+void ProgressiveClusterQuery::applyVerdicts(std::uint64_t first,
+                                            std::uint64_t readable,
+                                            std::uint64_t last) {
+  for (std::uint64_t g = first; g < last; ++g) {
+    const Member& m = members_[g];
+    if (m.slot == kNoSlot) continue;
+    ClusterEstimate& est = estimates_[m.slot];
+    ++est.refinedMembers;
+    if (g >= readable) {
+      // Quarantined at refinement time: the member can never be
+      // evaluated. It counts refined with zero hits so the query still
+      // converges, and lostMembers() surfaces the gap. Quarantine is
+      // deterministic for a given file + fault seed, so this stays
+      // bit-identical too.
+      ++lostMembers_;
+    } else if (m.hit) {
+      ++est.exactHits;
+    }
   }
 }
 

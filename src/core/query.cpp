@@ -86,10 +86,16 @@ void initSummary(HighlightSummary& summary, std::uint32_t index,
   summary.firstHitTime.assign(brushCount, -1.0f);
 }
 
+/// The temporal half of a segment's verdict: segment [tA, tB] meets the
+/// (effective) window.
+bool segmentInWindow(float tA, float tB, Vec2 window) {
+  return !(tB < window.x || tA > window.y);
+}
+
 void recordHighlight(HighlightSummary& summary, std::int8_t hit, float tA,
                      float tB, std::size_t brushCount) {
-  const auto brushIdx = static_cast<std::size_t>(hit);
-  if (brushIdx < brushCount) {
+  if (countedBrush(hit, brushCount)) {
+    const auto brushIdx = static_cast<std::size_t>(hit);
     ++summary.segmentsPerBrush[brushIdx];
     summary.durationPerBrush[brushIdx] += tB - tA;
     if (summary.firstHitTime[brushIdx] < 0.0f) {
@@ -118,6 +124,28 @@ void evaluate(const TrajectoryRef& t, const BrushGrid& brush,
   applyTemporalMask(*t, t.index, {spatial, segmentCount},
                     probeLastSegmentBrush(pts, brush), params, segmentsOut,
                     summaryOut);
+}
+
+bool anyHighlight(const TrajectoryRef& t, const BrushGrid& brush,
+                  const QueryParams& params) {
+  const traj::PointsView pts = t->view();
+  const std::size_t segmentCount = pts.size() >= 2 ? pts.size() - 1 : 0;
+  if (segmentCount == 0) return false;
+
+  util::Arena& arena = util::frameArena();
+  util::ArenaScope scope(arena);
+  std::int8_t* spatial = arena.allocate<std::int8_t>(segmentCount);
+  classifySegments(pts, brush.view(), spatial, segmentCount,
+                   util::Cancellation::none());
+
+  const Vec2 window = params.effectiveWindow(t->duration());
+  for (std::size_t s = 0; s < segmentCount; ++s) {
+    if (countedBrush(spatial[s], params.brushCount) &&
+        segmentInWindow(pts.time(s), pts.time(s + 1), window)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 void classifySpatial(const traj::Trajectory& t, const BrushGrid& brush,
@@ -162,7 +190,7 @@ void applyTemporalMask(const traj::Trajectory& t, std::uint32_t index,
     if (hit == kNoBrush) continue;
     const float tA = pts.time(s);
     const float tB = pts.time(s + 1);
-    if (tB < window.x || tA > window.y) continue;
+    if (!segmentInWindow(tA, tB, window)) continue;
 
     segmentsOut[s] = hit;
     recordHighlight(summaryOut, hit, tA, tB, params.brushCount);

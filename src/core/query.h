@@ -138,6 +138,21 @@ void evaluate(const TrajectoryRef& t, const BrushGrid& brush,
               std::vector<std::int8_t>& segmentsOut,
               HighlightSummary& summaryOut);
 
+/// The existence pass: the verdict evaluate() reports for `t` as
+/// summaries[0].anyHighlight(), without the per-segment output. It shares
+/// evaluate()'s probes, window test and brushCount rule, returns at the
+/// first counted in-window segment and allocates nothing (arena scratch
+/// only). Serial.
+bool anyHighlight(const TrajectoryRef& t, const BrushGrid& brush,
+                  const QueryParams& params);
+
+/// Whether a segment classified `brush` counts toward a summary of
+/// `brushCount` brushes. kNoBrush never counts, and neither does paint of
+/// an index at or past brushCount (indices past 127 read negative).
+inline bool countedBrush(std::int8_t brush, std::size_t brushCount) {
+  return static_cast<std::size_t>(brush) < brushCount;
+}
+
 // --- spatial/temporal factoring -------------------------------------------
 // A query's spatial half (which brush covers each segment) is independent
 // of the temporal window, and the temporal half (which segments fall in

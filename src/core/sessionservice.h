@@ -189,7 +189,7 @@ class SessionService {
 
   /// Advances the tenant's anytime query (progressive sessions only; a
   /// no-op returning kOk for the rest): up to `maxShards` uncertain
-  /// shards are exactly evaluated, largest population first. Health
+  /// shards are exactly evaluated, resident ones first. Health
   /// applies exactly like apply(): Shedding refuses with kOverloaded +
   /// retry-after (refinement is deferrable work — shedding it is the
   /// point), Degraded divides the shard budget by degradedDeadlineDiv

@@ -641,6 +641,12 @@ std::shared_ptr<const TrajectoryDataset> ShardStore::shard(
   return dataset;
 }
 
+bool ShardStore::isResident(std::size_t shard) const {
+  Impl& s = *impl_;
+  std::lock_guard<std::mutex> lock(s.mutex);
+  return s.cache.find(shard) != s.cache.end();
+}
+
 io::Status ShardStore::shardStatus(std::size_t shard) const {
   Impl& s = *impl_;
   std::lock_guard<std::mutex> lock(s.mutex);
@@ -655,12 +661,6 @@ std::size_t ShardStore::quarantinedShardCount() const {
     if (!st.isOk()) ++n;
   }
   return n;
-}
-
-std::uint64_t ShardStore::quarantinedTrajectoryCount() const {
-  Impl& s = *impl_;
-  std::lock_guard<std::mutex> lock(s.mutex);
-  return s.quarantinedTrajectories;
 }
 
 double ShardStore::coverage() const {

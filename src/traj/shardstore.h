@@ -229,13 +229,19 @@ class ShardStore {
   /// nullptr immediately and queries degrade over the survivors.
   std::shared_ptr<const TrajectoryDataset> shard(std::size_t shard) const;
 
+  /// Whether the shard is in the cache now, so shard() would return it
+  /// without IO. A snapshot taken under the store's mutex: it counts no
+  /// hit and leaves the LRU order alone. The anytime query
+  /// (core/progressive.h) reads resident shards first, since a hit never
+  /// evicts.
+  bool isResident(std::size_t shard) const;
+
   /// Typed status of one shard: ok, or the quarantine cause.
   io::Status shardStatus(std::size_t shard) const;
   bool isQuarantined(std::size_t shard) const {
     return !shardStatus(shard).isOk();
   }
   std::size_t quarantinedShardCount() const;
-  std::uint64_t quarantinedTrajectoryCount() const;
   /// Fraction of trajectories still reachable: 1.0 = fully healthy.
   double coverage() const;
 

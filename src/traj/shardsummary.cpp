@@ -8,9 +8,40 @@ namespace svq::traj {
 int summaryCellOf(float coordCm, float arenaRadiusCm) {
   const float cellSize =
       (2.0f * arenaRadiusCm) / static_cast<float>(ShardSummary::kGridDim);
-  const int cell =
-      static_cast<int>(std::floor((coordCm + arenaRadiusCm) / cellSize));
-  return std::clamp(cell, 0, ShardSummary::kGridDim - 1);
+  const float cell = (coordCm + arenaRadiusCm) / cellSize;
+  // floor() then clamp, without a libm call or an out-of-range
+  // conversion: clamping first makes truncation agree with floor, and
+  // std::max(0, NaN) is 0.
+  constexpr float kLast = static_cast<float>(ShardSummary::kGridDim - 1);
+  return static_cast<int>(std::min(std::max(0.0f, cell), kLast));
+}
+
+void foldProbePoints(const Trajectory& traj, float arenaRadiusCm,
+                     ShardSummary& summary, bool& anyPoint) {
+  const PointsView pts = traj.view();
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    const float x = pts.x[i];
+    const float y = pts.y[i];
+    summary.markCell(summaryCellOf(x, arenaRadiusCm),
+                     summaryCellOf(y, arenaRadiusCm));
+    summary.envelope.expand(Vec2{x, y});
+    if (!anyPoint) {
+      summary.tMin = summary.tMax = pts.t[i];
+      anyPoint = true;
+    } else {
+      summary.tMin = std::min(summary.tMin, pts.t[i]);
+      summary.tMax = std::max(summary.tMax, pts.t[i]);
+    }
+    // Segment midpoints are probe points too (core::classifySegments
+    // tests them), and a midpoint can land in a cell neither endpoint
+    // occupies — rasterize it explicitly. The envelope needs no update:
+    // a midpoint is a convex combination of its endpoints.
+    if (i + 1 < pts.size()) {
+      summary.markCell(
+          summaryCellOf(0.5f * (x + pts.x[i + 1]), arenaRadiusCm),
+          summaryCellOf(0.5f * (y + pts.y[i + 1]), arenaRadiusCm));
+    }
+  }
 }
 
 ShardSummary computeShardSummary(const TrajectoryDataset& shard) {
@@ -18,28 +49,7 @@ ShardSummary computeShardSummary(const TrajectoryDataset& shard) {
   const float radius = shard.arena().radiusCm;
   bool anyPoint = false;
   for (const Trajectory& traj : shard.all()) {
-    const PointsView pts = traj.view();
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-      const float x = pts.x[i];
-      const float y = pts.y[i];
-      summary.markCell(summaryCellOf(x, radius), summaryCellOf(y, radius));
-      summary.envelope.expand(Vec2{x, y});
-      if (!anyPoint) {
-        summary.tMin = summary.tMax = pts.t[i];
-        anyPoint = true;
-      } else {
-        summary.tMin = std::min(summary.tMin, pts.t[i]);
-        summary.tMax = std::max(summary.tMax, pts.t[i]);
-      }
-      // Segment midpoints are probe points too (core::classifySegments
-      // tests them), and a midpoint can land in a cell neither endpoint
-      // occupies — rasterize it explicitly. The envelope needs no update:
-      // a midpoint is a convex combination of its endpoints.
-      if (i + 1 < pts.size()) {
-        summary.markCell(summaryCellOf(0.5f * (x + pts.x[i + 1]), radius),
-                         summaryCellOf(0.5f * (y + pts.y[i + 1]), radius));
-      }
-    }
+    foldProbePoints(traj, radius, summary, anyPoint);
   }
   return summary;
 }

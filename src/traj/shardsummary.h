@@ -80,6 +80,15 @@ struct ShardSummary {
 /// never be painted, so the spurious occupancy only costs refinement).
 int summaryCellOf(float coordCm, float arenaRadiusCm);
 
+/// Folds one trajectory into `summary`: each of its probe points (every
+/// sample and every segment midpoint) marks its cell, and the envelope
+/// and time range widen over its samples. `anyPoint` says whether the
+/// time range holds a sample yet; the calls that build one summary share
+/// it. A fresh summary folded with one trajectory is that trajectory's
+/// probe footprint (core/progressive.h keeps one per member).
+void foldProbePoints(const Trajectory& traj, float arenaRadiusCm,
+                     ShardSummary& summary, bool& anyPoint);
+
 /// Computes the summary of a decoded shard: every sample point and every
 /// segment midpoint of every trajectory marks its cell; the envelope and
 /// time range cover the samples. The arena square comes from the

@@ -1,7 +1,6 @@
 #include "wall/compositor.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -42,7 +41,11 @@ Framebuffer composeActivePixels(const WallSpec& spec,
 Framebuffer composePhysicalMockup(const WallSpec& spec,
                                   const std::vector<Framebuffer>& tiles,
                                   float pxPerMm) {
-  assert(static_cast<int>(tiles.size()) == spec.tileCount());
+  if (tiles.size() != static_cast<std::size_t>(spec.tileCount())) {
+    throw std::invalid_argument(
+        "composePhysicalMockup: " + std::to_string(tiles.size()) +
+        " tiles for a wall of " + std::to_string(spec.tileCount()));
+  }
   const int outW =
       static_cast<int>(std::ceil(spec.physicalWmm() * pxPerMm));
   const int outH =
@@ -53,6 +56,9 @@ Framebuffer composePhysicalMockup(const WallSpec& spec,
   for (int idx = 0; idx < spec.tileCount(); ++idx) {
     const TileCoord tc = spec.tileFromIndex(idx);
     const Framebuffer& src = tiles[static_cast<std::size_t>(idx)];
+    // An empty tile (a dead rank's slot) has nothing to sample: its
+    // footprint stays bezel.
+    if (src.width() <= 0 || src.height() <= 0) continue;
     // Physical origin of this tile's active area.
     const float ax =
         (static_cast<float>(tc.col) * t.footprintWmm() + t.bezelMm) * pxPerMm;
@@ -77,8 +83,14 @@ Framebuffer composePhysicalMockup(const WallSpec& spec,
 
 std::vector<Framebuffer> splitIntoTiles(const WallSpec& spec,
                                         const Framebuffer& wallImage) {
-  assert(wallImage.width() == spec.totalPxW());
-  assert(wallImage.height() == spec.totalPxH());
+  if (wallImage.width() != spec.totalPxW() ||
+      wallImage.height() != spec.totalPxH()) {
+    throw std::invalid_argument(
+        "splitIntoTiles: " + std::to_string(wallImage.width()) + "x" +
+        std::to_string(wallImage.height()) + " image for a wall of " +
+        std::to_string(spec.totalPxW()) + "x" +
+        std::to_string(spec.totalPxH()));
+  }
   std::vector<Framebuffer> tiles;
   tiles.reserve(static_cast<std::size_t>(spec.tileCount()));
   for (int i = 0; i < spec.tileCount(); ++i) {

@@ -23,13 +23,17 @@ render::Framebuffer composeActivePixels(
 
 /// Renders a physical mock-up at `pxPerMm` scale: active areas are the
 /// (downsampled) tile images, bezels are drawn as dark bars. Useful for
-/// producing Fig. 3-style overview images at manageable sizes.
+/// producing Fig. 3-style overview images at manageable sizes. An empty
+/// tile (a dead rank's slot) leaves its footprint bezel. Throws
+/// std::invalid_argument unless `tiles` has spec.tileCount() entries.
 render::Framebuffer composePhysicalMockup(
     const WallSpec& spec, const std::vector<render::Framebuffer>& tiles,
     float pxPerMm = 0.25f);
 
 /// Splits a full wall image into per-tile framebuffers (inverse of
 /// composeActivePixels); used by tests and by the gather-verify path.
+/// Throws std::invalid_argument unless the image is exactly
+/// spec.totalPxW() x spec.totalPxH().
 std::vector<render::Framebuffer> splitIntoTiles(
     const WallSpec& spec, const render::Framebuffer& wallImage);
 

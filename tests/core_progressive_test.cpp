@@ -11,9 +11,11 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <string>
 
 #include "core/clusterscene.h"
 #include "core/sessionservice.h"
+#include "progressive_sequences.h"
 #include "render/scene.h"
 #include "traj/synth.h"
 #include "util/clock.h"
@@ -238,6 +240,192 @@ TEST_F(ProgressiveTest, SessionServiceDrainsProgressiveSessionsToExact) {
     EXPECT_DOUBLE_EQ(s.progressiveQuery()->coverage(), 1.0);
   });
   EXPECT_TRUE(exact.isOk());
+}
+
+// --- kept verdicts across begin() ------------------------------------------
+
+std::string testName() {
+  return ::testing::UnitTest::GetInstance()->current_test_info()->name();
+}
+
+TEST(ProgressiveKeptTest, ConvergedStatesMatchExactReferenceUnderRandomEdits) {
+  sequences::SequenceWorld world(sequences::sequenceDataset(240, 4242),
+                                 testName());
+  ASSERT_TRUE(world.ok());
+  int checks = 0;
+  int interrupted = 0;
+  int failures = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const sequences::SequenceStats stats =
+        sequences::runEditSequence(world, seed, 60);
+    checks += stats.checks;
+    interrupted += stats.interrupted;
+    failures += stats.failures;
+  }
+  EXPECT_EQ(failures, 0) << failures << " of " << checks
+                         << " converged states differ";
+  // The sweep must exercise both halves: converged checks, and edits
+  // that restart a query mid-refinement.
+  EXPECT_GE(checks, 350);
+  EXPECT_GE(interrupted, 100);
+}
+
+TEST(ProgressiveKeptTest, ConvergedStatesMatchWhenColdShardsFanOut) {
+  // Five shards of 64: the quarter-file cache holds about one of them,
+  // and a shard whose members are all dirty splits over every thread of
+  // the pool.
+  sequences::SequenceWorld world(sequences::sequenceDataset(320, 4343),
+                                 testName(), 64);
+  ASSERT_TRUE(world.ok());
+  int checks = 0;
+  int failures = 0;
+  for (std::uint64_t seed = 21; seed <= 24; ++seed) {
+    const sequences::SequenceStats stats =
+        sequences::runEditSequence(world, seed, 50);
+    checks += stats.checks;
+    failures += stats.failures;
+  }
+  EXPECT_EQ(failures, 0) << failures << " of " << checks
+                         << " converged states differ";
+}
+
+TEST(ProgressiveKeptTest, AShardQuarantinedMidSequenceCountsLost) {
+  for (std::uint64_t seed = 101; seed <= 103; ++seed) {
+    sequences::SequenceWorld world(sequences::sequenceDataset(240, seed),
+                                   testName() + std::to_string(seed));
+    ASSERT_TRUE(world.ok());
+    const sequences::SequenceStats stats =
+        sequences::runEditSequence(world, seed, 40, 20);
+    EXPECT_EQ(stats.failures, 0) << "seed " << seed;
+    // The rotted shard was read after the rot, and quarantined.
+    EXPECT_EQ(world.store().quarantinedShardCount(), 1u) << "seed " << seed;
+  }
+}
+
+TEST(ProgressiveKeptTest, AShardRottingUnderCleanMembersKeepsVerdictsUntilQuarantined) {
+  // Media rot shows only when a shard is read. A shard whose members no
+  // edit can flip is not read again: begin() resolves it from the kept
+  // verdicts, while exactReference reads it, quarantines it and counts
+  // its members with zero hits. From the quarantine on, begin() counts
+  // those members lost, and the two agree again.
+  sequences::SequenceWorld world(sequences::sequenceDataset(240, 31),
+                                 testName());
+  ASSERT_TRUE(world.ok());
+  const traj::ShardStore& store = world.store();
+  BrushCanvas canvas(world.dataset().arena().radiusCm, 128);
+  paintArenaHalf(canvas, 0, traj::ArenaSide::kWest,
+                 world.dataset().arena().radiusCm);
+  const QueryParams params;
+
+  // Rot the shard with the most hits, so losing it shows in the counts.
+  std::size_t rotted = 0;
+  std::uint64_t rottedHits = 0;
+  for (std::size_t s = 0; s < store.shardCount(); ++s) {
+    const traj::ShardInfo& info = store.shardInfo(s);
+    std::uint64_t hits = 0;
+    for (std::uint64_t g = info.firstGlobalIndex;
+         g < info.firstGlobalIndex + info.trajectoryCount; ++g) {
+      const auto index = static_cast<std::uint32_t>(g);
+      if (anyHighlight({&world.dataset()[index], index}, canvas.grid(),
+                       params)) {
+        ++hits;
+      }
+    }
+    if (hits > rottedHits) {
+      rotted = s;
+      rottedHits = hits;
+    }
+  }
+  ASSERT_GT(rottedHits, 0u);
+
+  Rng rng(9);
+  ProgressiveClusterQuery query(world.explorer());
+  query.begin(canvas.grid(), params);
+  ASSERT_TRUE(sequences::convergeAndCheck(query, world, canvas.grid(), params,
+                                          rng, "before the rot"));
+  const auto kept = query.estimates();
+
+  // The rot also drops the cache, so the shard is no longer resident.
+  world.rotShard(rotted);
+  const std::uint64_t misses = store.cacheStats().misses;
+  query.begin(canvas.grid(), params);
+  EXPECT_TRUE(query.converged());
+  EXPECT_EQ(store.cacheStats().misses, misses) << "a kept shard was read";
+  EXPECT_EQ(store.quarantinedShardCount(), 0u);
+  EXPECT_EQ(query.lostMembers(), 0u);
+  EXPECT_EQ(query.estimates(), kept);
+
+  // exactReference reads every shard, so it finds the rot.
+  const auto reference = ProgressiveClusterQuery::exactReference(
+      world.explorer(), canvas.grid(), params);
+  EXPECT_TRUE(store.isQuarantined(rotted));
+  EXPECT_NE(reference, kept);
+
+  query.begin(canvas.grid(), params);
+  EXPECT_EQ(query.pendingShards(), 1u);
+  EXPECT_TRUE(sequences::convergeAndCheck(query, world, canvas.grid(), params,
+                                          rng, "after the quarantine"));
+  EXPECT_EQ(query.lostMembers(), store.shardInfo(rotted).trajectoryCount);
+}
+
+TEST(ProgressiveKeptTest, UncountedPaintOnAFirstEndpointUnhitsAMidpointHit) {
+  // A long two-sample segment whose midpoint alone lies on counted paint
+  // is a hit. Uncounted paint under its first endpoint masks the
+  // midpoint probe (the first non-empty probe wins), so the member turns
+  // into a miss although the edit only added paint.
+  traj::TrajectoryDataset ds = sequences::sequenceDataset(63, 99);
+  const traj::Trajectory probe({}, {{{-20.0f, 0.0f}, 0.0f},
+                                    {{20.0f, 0.0f}, 1.0f}});
+  ds.add(probe);
+  sequences::SequenceWorld world(std::move(ds), testName());
+  ASSERT_TRUE(world.ok());
+
+  BrushCanvas canvas(world.dataset().arena().radiusCm, 128);
+  canvas.addStroke({0, {0.0f, 0.0f}, 4.0f});
+  const QueryParams params;
+  const TrajectoryRef ref{&probe, 0};
+  ASSERT_TRUE(anyHighlight(ref, canvas.grid(), params));
+
+  Rng rng(5);
+  ProgressiveClusterQuery query(world.explorer());
+  query.begin(canvas.grid(), params);
+  ASSERT_TRUE(sequences::convergeAndCheck(query, world, canvas.grid(), params,
+                                          rng, "counted dab"));
+
+  canvas.addStroke({7, {-20.0f, 0.0f}, 3.0f});
+  ASSERT_FALSE(anyHighlight(ref, canvas.grid(), params));
+  query.begin(canvas.grid(), params);
+  EXPECT_TRUE(sequences::convergeAndCheck(query, world, canvas.grid(), params,
+                                          rng, "uncounted dab"));
+}
+
+TEST(ProgressiveKeptTest, RepeatedBeginConvergesWithoutStoreMisses) {
+  sequences::SequenceWorld world(sequences::sequenceDataset(240, 77),
+                                 testName());
+  ASSERT_TRUE(world.ok());
+  BrushCanvas canvas(world.dataset().arena().radiusCm, 128);
+  paintArenaHalf(canvas, 0, traj::ArenaSide::kWest,
+                 world.dataset().arena().radiusCm);
+  QueryParams params;
+  params.timeWindow = {10.0f, 90.0f};
+
+  ProgressiveClusterQuery query(world.explorer());
+  query.begin(canvas.grid(), params);
+  while (!query.converged()) query.refineStep(2);
+  const std::size_t pruned = query.prunedShards();
+  const auto converged = query.estimates();
+  const std::uint64_t misses = world.store().cacheStats().misses;
+
+  // The same brush and window again: every verdict is kept, so begin()
+  // converges by itself and the store is never asked for a shard.
+  query.begin(canvas.grid(), params);
+  EXPECT_TRUE(query.converged());
+  EXPECT_EQ(query.pendingShards(), 0u);
+  EXPECT_EQ(world.store().cacheStats().misses, misses);
+  EXPECT_EQ(query.prunedShards(), pruned) << "kept shards count as pruned";
+  EXPECT_EQ(query.estimates(), converged);
+  EXPECT_EQ(query.estimates(), ProgressiveClusterQuery::exactReference(
+                                   world.explorer(), canvas.grid(), params));
 }
 
 }  // namespace

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "traj/synth.h"
+#include "util/rng.h"
 
 namespace svq::core {
 namespace {
@@ -209,6 +213,144 @@ TEST(EvaluateQueryTest, EmptyIndexListGivesEmptyResult) {
       evaluate(makeRefs(ds, std::vector<std::uint32_t>{}), brush, QueryParams{});
   EXPECT_EQ(r.trajectoriesEvaluated, 0u);
   EXPECT_EQ(r.trajectoriesHighlighted, 0u);
+}
+
+// --- the existence pass -----------------------------------------------------
+
+/// A brush index drawn from one of three ranges: counted under a
+/// brushCount of 6 (0–5), never counted (6–127), or past 127 — negative
+/// after the int8 cast, where 255 is kNoBrush and so erases.
+std::int8_t randomBrushIndex(Rng& rng) {
+  int index = 0;
+  switch (rng.below(4)) {
+    case 0: index = rng.rangeInt(6, 127); break;
+    case 1: index = rng.rangeInt(128, 255); break;
+    default: index = rng.chance(0.5) ? 0 : rng.rangeInt(1, 5); break;
+  }
+  return static_cast<std::int8_t>(static_cast<std::uint8_t>(index));
+}
+
+/// One seeded case: a trajectory, the paint and the params.
+struct ExistenceCase {
+  traj::Trajectory trajectory;
+  BrushCanvas canvas{50.0f, 96};
+  QueryParams params;
+};
+
+ExistenceCase randomExistenceCase(Rng& rng) {
+  ExistenceCase c;
+  static constexpr std::size_t kSizes[] = {0, 1, 2, 63, 64, 65};
+  const std::size_t n = rng.chance(0.25)
+                            ? static_cast<std::size_t>(rng.rangeInt(380, 420))
+                            : kSizes[rng.below(6)];
+  // A walk with occasional long jumps, so segment midpoints land far
+  // from both endpoints; it may leave the arena.
+  std::vector<traj::TrajPoint> points;
+  Vec2 pos{rng.uniform(-45.0f, 45.0f), rng.uniform(-45.0f, 45.0f)};
+  float t = rng.uniform(-5.0f, 20.0f);
+  const int timeMode = static_cast<int>(rng.below(3));  // sorted/repeats/any
+  for (std::size_t i = 0; i < n; ++i) {
+    const float step = rng.chance(0.1) ? 30.0f : 3.0f;
+    pos = {std::clamp(pos.x + rng.uniform(-step, step), -55.0f, 55.0f),
+           std::clamp(pos.y + rng.uniform(-step, step), -55.0f, 55.0f)};
+    if (timeMode == 0) {
+      t += rng.uniform(0.05f, 1.0f);
+    } else if (timeMode == 1) {
+      if (!rng.chance(0.3)) t += rng.uniform(0.0f, 1.0f);
+    } else {
+      t = rng.uniform(-10.0f, 200.0f);
+    }
+    points.push_back({pos, t});
+  }
+  c.trajectory = traj::Trajectory({}, points);
+
+  // Half the dabs land on the walk, so hits are common.
+  const int strokes = rng.rangeInt(0, 5);
+  for (int k = 0; k < strokes; ++k) {
+    const Vec2 at = n > 0 && rng.chance(0.5)
+                        ? points[rng.below(n)].pos
+                        : Vec2{rng.uniform(-50.0f, 50.0f),
+                               rng.uniform(-50.0f, 50.0f)};
+    c.canvas.addStroke({randomBrushIndex(rng), at, rng.uniform(2.0f, 30.0f)});
+  }
+  // A small counted dab on one long segment's midpoint, clear of both
+  // endpoints: a hit through the midpoint probe only.
+  if (n >= 2 && rng.chance(0.4)) {
+    const std::size_t s = rng.below(n - 1);
+    const Vec2 a = points[s].pos;
+    const Vec2 b = points[s + 1].pos;
+    const float half = 0.5f * std::hypot(b.x - a.x, b.y - a.y);
+    if (half > 4.0f) {
+      c.canvas.addStroke({static_cast<std::int8_t>(rng.rangeInt(0, 5)),
+                          {0.5f * (a.x + b.x), 0.5f * (a.y + b.y)},
+                          std::min(3.0f, 0.5f * half)});
+    }
+  }
+
+  c.params.brushCount = rng.chance(0.5) ? 6 : 1;
+  c.params.parallel = false;
+  switch (rng.below(4)) {
+    case 0: break;  // the default, everything
+    case 1: {       // absolute, maybe inverted
+      c.params.timeWindow = {rng.uniform(-10.0f, 150.0f),
+                             rng.uniform(-10.0f, 150.0f)};
+      break;
+    }
+    case 2: {  // empty: a point window, or one past every sample
+      const float at = rng.chance(0.5) ? rng.uniform(0.0f, 100.0f) : 1e6f;
+      c.params.timeWindow = {at, rng.chance(0.5) ? at : at + 1.0f};
+      break;
+    }
+    default: {  // relative, maybe inverted or disjoint from the absolute
+      c.params.relativeWindow = Vec2{rng.uniform(0.0f, 1.0f),
+                                     rng.uniform(0.0f, 1.0f)};
+      if (rng.chance(0.5)) {
+        c.params.timeWindow = {rng.uniform(-10.0f, 100.0f),
+                               rng.uniform(50.0f, 250.0f)};
+      }
+      break;
+    }
+  }
+  return c;
+}
+
+TEST(AnyHighlightTest, EqualsTheFullVerdictOverSeededCases) {
+  Rng rng(0xE715ULL);
+  int hits = 0;
+  for (int i = 0; i < 1000; ++i) {
+    const ExistenceCase c = randomExistenceCase(rng);
+    const TrajectoryRef ref{&c.trajectory, 0};
+    const bool full =
+        evaluate(std::vector<TrajectoryRef>{ref}, c.canvas.grid(), c.params)
+            .summaries[0]
+            .anyHighlight();
+    ASSERT_EQ(anyHighlight(ref, c.canvas.grid(), c.params), full)
+        << "case " << i << ": " << c.trajectory.size() << " points, "
+        << c.canvas.strokes().size() << " strokes, brushCount "
+        << c.params.brushCount;
+    hits += full ? 1 : 0;
+  }
+  // Both verdicts must be well represented, or the comparison is idle.
+  EXPECT_GT(hits, 100);
+  EXPECT_LT(hits, 900);
+}
+
+TEST(AnyHighlightTest, MidpointOnlyHitAndUncountedMasking) {
+  // A segment whose endpoints miss the paint and whose midpoint is on
+  // it: a hit through the midpoint probe alone. Painting an uncounted
+  // brush under the first endpoint masks the midpoint (the first
+  // non-empty probe wins), so the same trajectory then misses.
+  const traj::Trajectory t({}, {{{-20, 0}, 0}, {{20, 0}, 1}});
+  BrushCanvas canvas(50.0f, 128);
+  canvas.addStroke({0, {0, 0}, 4.0f});
+  QueryParams params;
+  const TrajectoryRef ref{&t, 0};
+  EXPECT_TRUE(anyHighlight(ref, canvas.grid(), params));
+  canvas.addStroke({7, {-20, 0}, 3.0f});
+  EXPECT_FALSE(anyHighlight(ref, canvas.grid(), params));
+  // brushCount 8 counts brush 7 again.
+  params.brushCount = 8;
+  EXPECT_TRUE(anyHighlight(ref, canvas.grid(), params));
 }
 
 TEST(HighlightSummaryTest, Accessors) {

@@ -10,6 +10,7 @@
 
 #include "core/sessionservice.h"
 #include "replay/recording.h"
+#include "replay/runner.h"
 #include "traj/synth.h"
 #include "ui/script.h"
 #include "util/clock.h"
@@ -737,6 +738,102 @@ TEST(InputScriptOrderTest, DeserializeRejectsNonFiniteStampsAndHostileCounts) {
         Recording::deserialize(util::MessageBuffer(std::move(corrupt))));
   }
   EXPECT_TRUE(Recording::deserialize(buf).has_value());
+}
+
+// --- progressive replays are deterministic -------------------------------------
+
+/// A hand-built v3 recording: two tenants drill into the anytime overview
+/// with dabs (one erasing), window edits and clears, and refine steps of
+/// budget 1–3 interleaved with the edits, so some edits begin before the
+/// previous one converged. The anytime query keeps verdicts from edit to
+/// edit and reads resident shards first, so each refine's frame depends on
+/// the edits before it and on the shared shard cache.
+Recording progressiveDrillRecording() {
+  Recording rec;
+  rec.world.datasetSeed = 2718;
+  rec.world.trajectoryCount = 160;
+  rec.world.progressive.shardCapacity = 16;
+  rec.world.progressive.somRows = 3;
+  rec.world.progressive.somCols = 3;
+
+  double t = 0.0;
+  auto edit = [&](std::uint32_t tenant, const ui::Event& event) {
+    rec.event(tenant, t += 0.25, event);
+  };
+  auto refine = [&](std::uint32_t tenant, std::uint32_t budget) {
+    rec.refine(tenant, t += 0.25, budget);
+  };
+  const ui::Event dabWest = ui::BrushStrokeEvent{0, {-20.0f, 5.0f}, 12.0f};
+  const ui::Event dabEast = ui::BrushStrokeEvent{1, {22.0f, -3.0f}, 10.0f};
+  const ui::Event dabNorth = ui::BrushStrokeEvent{2, {0.0f, 25.0f}, 9.0f};
+  const ui::Event erase = ui::BrushStrokeEvent{255, {-18.0f, 4.0f}, 6.0f};
+  const ui::Event dabCentre = ui::BrushStrokeEvent{1, {0.0f, 0.0f}, 8.0f};
+  const ui::Event narrow = ui::TimeWindowEvent{10.0f, 80.0f};
+  const ui::Event early = ui::TimeWindowEvent{0.0f, 40.0f};
+  const ui::Event widen = ui::TimeWindowEvent{0.0f, 400.0f};
+  const ui::Event clearWest = ui::BrushClearEvent{0};
+  const ui::Event clearAll = ui::BrushClearEvent{255};
+
+  rec.admit(0, t);
+  rec.admit(1, t += 0.25);
+  edit(0, dabWest);
+  refine(0, 1);
+  refine(0, 2);
+  edit(1, dabEast);
+  refine(1, 3);
+  edit(0, narrow);  // tenant 0 had not converged
+  edit(0, dabNorth);
+  refine(0, 2);
+  refine(0, 1);
+  edit(1, erase);
+  refine(1, 2);
+  edit(1, early);
+  refine(1, 3);
+  refine(1, 3);
+  edit(0, erase);
+  refine(0, 1);
+  edit(0, clearWest);
+  refine(0, 3);
+  edit(1, dabCentre);
+  refine(1, 1);
+  edit(0, widen);
+  for (int i = 0; i < 4; ++i) refine(0, 3);
+  edit(1, clearAll);
+  refine(1, 2);
+  edit(1, dabWest);
+  for (int i = 0; i < 4; ++i) refine(1, 3);
+  edit(0, dabCentre);
+  for (int i = 0; i < 4; ++i) refine(0, 2);
+  rec.close(1, t += 0.25);
+  rec.close(0, t += 0.25);
+  return rec;
+}
+
+TEST(ProgressiveReplayTest, HashesMatchAcrossThreadsCachesAndReruns) {
+  const Recording rec = progressiveDrillRecording();
+  Runner reference(rec);
+  const RunReport want = reference.run();
+  ASSERT_EQ(want.steps.size(), rec.size());
+  EXPECT_EQ(want.eventsRejected, 0u);
+  EXPECT_EQ(want.refineSteps, 24u);
+  EXPECT_GT(want.shardsRefined, 0u);
+
+  for (const int threads : {0, 4, 8}) {
+    for (const bool sharedCache : {true, false}) {
+      RunnerOptions options;
+      options.renderThreads = threads;
+      options.useSharedCache = sharedCache;
+      Runner runner(rec, options);
+      const RunReport got = runner.run();
+      EXPECT_EQ(got.frameHashes(), want.frameHashes())
+          << threads << " render threads, shared cache "
+          << (sharedCache ? "on" : "off");
+      EXPECT_EQ(got.shardsRefined, want.shardsRefined);
+    }
+  }
+  // A second run in the same process rebuilds the world from scratch.
+  Runner again(rec);
+  EXPECT_EQ(again.run().frameHashes(), want.frameHashes());
 }
 
 }  // namespace

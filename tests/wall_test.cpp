@@ -280,5 +280,45 @@ TEST(CompositorTest, PhysicalMockupHasBezels) {
   EXPECT_EQ(mock.at(19, 6), render::colors::kBezel);
 }
 
+TEST(CompositorTest, PhysicalMockupWrongTileCountThrows) {
+  const WallSpec wall(TileSpec{8, 4, 16.0f, 8.0f, 2.0f}, 2, 1);
+  for (std::size_t count : {0u, 1u, 3u}) {
+    const std::vector<Framebuffer> tiles(count, Framebuffer(8, 4));
+    EXPECT_THROW(composePhysicalMockup(wall, tiles, 1.0f),
+                 std::invalid_argument)
+        << count << " tiles";
+  }
+}
+
+TEST(CompositorTest, PhysicalMockupLeavesAnEmptyTileBezel) {
+  // A dead rank's slot arrives empty: its footprint keeps the bezel
+  // colour, and the live tile's pixels land as usual.
+  const WallSpec wall(TileSpec{8, 4, 16.0f, 8.0f, 2.0f}, 2, 1);
+  std::vector<Framebuffer> tiles;
+  tiles.emplace_back(8, 4, render::colors::kRed);
+  tiles.emplace_back();
+  const Framebuffer mock = composePhysicalMockup(wall, tiles, 1.0f);
+  ASSERT_EQ(mock.width(), 40);
+  ASSERT_EQ(mock.height(), 12);
+  for (int y = 0; y < mock.height(); ++y) {
+    for (int x = 0; x < mock.width(); ++x) {
+      const bool liveActive = x >= 2 && x < 18 && y >= 2 && y < 10;
+      EXPECT_EQ(mock.at(x, y), liveActive ? render::colors::kRed
+                                          : render::colors::kBezel)
+          << "(" << x << ", " << y << ")";
+    }
+  }
+}
+
+TEST(CompositorTest, SplitIntoTilesRejectsAWrongImageSize) {
+  const WallSpec wall(TileSpec{8, 4, 16.0f, 8.0f, 1.0f}, 2, 2);
+  EXPECT_THROW(splitIntoTiles(wall, Framebuffer(15, 8)),
+               std::invalid_argument);
+  EXPECT_THROW(splitIntoTiles(wall, Framebuffer(16, 9)),
+               std::invalid_argument);
+  EXPECT_THROW(splitIntoTiles(wall, Framebuffer()), std::invalid_argument);
+  EXPECT_EQ(splitIntoTiles(wall, Framebuffer(16, 8)).size(), 4u);
+}
+
 }  // namespace
 }  // namespace svq::wall
