@@ -21,11 +21,18 @@
 //                  like perfbench's anytime_drill (three dabs, a window
 //                  widen and a narrow, a clear), converging after each,
 //                  over the store reopened with a quarter-file cache
-//                  budget. Reports read_frac — shards read over unpruned
-//                  shards, summed over the edits: 1.0 when every edit
-//                  re-reads every shard the summaries cannot prove out,
-//                  lower as kept verdicts resolve shards without IO — and
-//                  the shard cache's hit_ratio. Both are counts, not
+//                  budget. As in anytime_drill, every first frame and
+//                  every refine frame is built and rendered through one
+//                  long-lived pipeline. Reports read_frac — shards read
+//                  over unpruned shards, summed over the edits: 1.0 when
+//                  every edit re-reads every shard the summaries cannot
+//                  prove out, lower as kept verdicts resolve shards
+//                  without IO — the shard cache's hit_ratio, and
+//                  redraw_frac — pixels rasterized over visible cell
+//                  pixels, summed over the frames: about the share of
+//                  cells that change when every changed cell is redrawn
+//                  whole, lower as a refine frame repaints only the labels
+//                  and coverage strips it moves. All three are counts, not
 //                  timings.
 //   shard_crc32c   io::crc32c, which every shard-cache miss runs over its
 //                  payload, against a byte-wise table loop local to this
@@ -37,12 +44,17 @@
 //   - checksum identity: io::crc32c equals the byte-wise loop,
 //   - exactness: converged estimates equal exactReference bit-for-bit,
 //     for refinement chunk sizes 1 / 3 / unbounded, and after every edit
-//     of the drill sequence,
+//     of the drill sequence, whose converged frame must also equal a cold
+//     render of its scene,
 //   - render bit-identity: the converged progressive scene rasters to
 //     the same pixels as the exact-reference scene at 1/4/8 render
 //     threads, with the shared cell cache on and off,
 //   - (full run only) first_pixel median <= 16 ms and time_to_exact
 //     median <= 1.25x full_exact median.
+//
+// full_exact and time_to_exact run interleaved, one rep of each in
+// alternating order, so host drift moves both sides of exact_over_full
+// alike; --smoke keeps the full run's 15 reps.
 //
 // Writes BENCH_progressive.json (BenchReport, bench_common.h; consumed by
 // scripts/perf_smoke.py against bench/baselines/
@@ -171,11 +183,13 @@ bool shardCrcScenario(bench::BenchReport& report) {
 }
 
 /// The drill_sequence scenario (see the file comment). Returns false
-/// unless every converged state equals exactReference.
+/// unless every converged state equals exactReference and every
+/// converged frame equals a cold render of its scene.
 bool drillSequenceScenario(const std::string& storePath,
                            const traj::SomParams& sp,
                            const traj::FeatureParams& fp, float radiusCm,
                            float maxDurationS, int rounds,
+                           const wall::WallSpec& wall,
                            bench::BenchReport& report) {
   traj::ShardStoreOptions so;
   so.cacheBudgetBytes =
@@ -197,6 +211,28 @@ bool drillSequenceScenario(const std::string& storePath,
   std::vector<double> editMs;
   double reads = 0.0;
   double unpruned = 0.0;
+  bool framesExact = true;
+
+  // The frames: one long-lived pipeline over the whole wall, as each of
+  // anytime_drill's targets keeps one across its frames.
+  const core::ClusterSceneOptions sceneOptions;
+  render::CellRenderPipeline pipeline;
+  render::Framebuffer target(wall.totalPxW(), wall.totalPxH());
+  double pixelsRasterized = 0.0;
+  double visiblePixels = 0.0;
+  auto drawFrame = [&](const core::ProgressiveClusterQuery& q) {
+    const core::ClusterOverviewScene overview =
+        core::buildProgressiveOverview(q, wall, sceneOptions);
+    const render::PipelineStats stats =
+        pipeline.render(overview.scene, overview.averagesDataset,
+                        render::Canvas::whole(target), render::Eye::kLeft);
+    pixelsRasterized += static_cast<double>(stats.pixelsRasterized);
+    for (const render::CellView& cell : overview.scene.cells) {
+      visiblePixels +=
+          static_cast<double>(cell.rect.clipped(target.rect()).areaPx());
+    }
+    return overview;
+  };
 
   core::BrushCanvas canvas(radiusCm, 256);
   core::QueryParams params;
@@ -207,11 +243,22 @@ bool drillSequenceScenario(const std::string& storePath,
   auto apply = [&] {
     Stopwatch w;
     query.begin(canvas.grid(), params);
-    while (!query.converged()) query.refineStep(2);
+    core::ClusterOverviewScene overview = drawFrame(query);
+    while (!query.converged()) {
+      query.refineStep(2);
+      overview = drawFrame(query);
+    }
     editMs.push_back(w.elapsedMillis());
     reads += static_cast<double>(query.refinedShardCount());
     unpruned += shards - static_cast<double>(query.prunedShards());
     converged.push_back({canvas.grid(), params, query.estimates()});
+    if (target.contentHash() != rasterHash(overview, wall, nullptr, nullptr)) {
+      std::fprintf(stderr,
+                   "FAIL: drill edit %zu: the long-lived pipeline's converged "
+                   "frame differs from a cold render\n",
+                   converged.size() - 1);
+      framesExact = false;
+    }
   };
   for (int round = 0; round < rounds; ++round) {
     const auto brush = static_cast<std::int8_t>(round % 3);
@@ -251,23 +298,29 @@ bool drillSequenceScenario(const std::string& storePath,
   const double misses = static_cast<double>(after.misses - before.misses);
   const double readFrac = unpruned > 0.0 ? reads / unpruned : 0.0;
   const double hitRatio = hits + misses > 0.0 ? hits / (hits + misses) : 0.0;
+  const double redrawFrac =
+      visiblePixels > 0.0 ? pixelsRasterized / visiblePixels : 0.0;
   auto& s = report.add("drill_sequence", editMs);
   s.counters["edits"] = static_cast<double>(editMs.size());
   s.counters["read_frac"] = readFrac;
   s.counters["hit_ratio"] = hitRatio;
-  s.counters["exact"] = ok ? 1.0 : 0.0;
+  s.counters["redraw_frac"] = redrawFrac;
+  s.counters["exact"] = ok && framesExact ? 1.0 : 0.0;
   std::printf("drill sequence: %zu edits, read_frac %.3f (%.0f of %.0f "
-              "unpruned shards read), hit_ratio %.3f, converged states %s\n",
-              editMs.size(), readFrac, reads, unpruned, hitRatio,
-              ok ? "exact" : "DIFFER");
-  return ok;
+              "unpruned shards read), hit_ratio %.3f, redraw_frac %.3f "
+              "(%.0f of %.0f visible cell pixels), converged states %s, "
+              "converged frames %s\n",
+              editMs.size(), readFrac, reads, unpruned, hitRatio, redrawFrac,
+              pixelsRasterized, visiblePixels, ok ? "exact" : "DIFFER",
+              framesExact ? "exact" : "DIFFER");
+  return ok && framesExact;
 }
 
 int run(const Options& opt) {
   const std::size_t trajCount = opt.smoke ? 300 : 2000;
   const std::uint32_t shardCapacity = opt.smoke ? 32 : 64;
   const std::size_t somDim = opt.smoke ? 4 : 6;
-  const int reps = opt.smoke ? 5 : 15;
+  constexpr int kReps = 15;
   const wall::WallSpec wall =
       opt.smoke ? bench::reducedWall(160, 90) : bench::reducedWall();
 
@@ -302,11 +355,17 @@ int run(const Options& opt) {
   bench::BenchReport report;
   bool ok = true;
 
-  // --- full exact baseline ---------------------------------------------------
+  // --- full exact baseline and time to exact, interleaved -------------------
+  // full_exact: exactReference + scene + raster. time_to_exact: the refine
+  // loop to convergence + scene + raster. One rep of each per round, the
+  // first of the pair alternating, so host drift reaches both alike.
   std::vector<double> fullMs;
   std::vector<core::ClusterEstimate> exact;
   core::ClusterOverviewScene exactScene;
-  for (int r = 0; r < reps; ++r) {
+  std::vector<double> exactLoopMs;
+  std::vector<std::pair<double, double>> curve;  // (ms, coverage)
+  const std::size_t chunk = opt.smoke ? 2 : 4;
+  auto fullExactRep = [&] {
     store->clearCache();
     Stopwatch w;
     exact = core::ProgressiveClusterQuery::exactReference(explorer, brush,
@@ -317,14 +376,61 @@ int run(const Options& opt) {
                                                 wall, sceneOptions);
     (void)rasterHash(exactScene, wall, nullptr, nullptr);
     fullMs.push_back(w.elapsedMillis());
+  };
+  auto timeToExactRep = [&](int r) {
+    store->clearCache();
+    core::ProgressiveClusterQuery query(explorer);
+    Stopwatch w;
+    query.begin(brush, params);
+    if (r == 0) curve.emplace_back(w.elapsedMillis(), query.coverage());
+    while (!query.converged()) {
+      query.refineStep(chunk);
+      if (r == 0) curve.emplace_back(w.elapsedMillis(), query.coverage());
+    }
+    const auto overview =
+        core::buildProgressiveOverview(query, wall, sceneOptions);
+    (void)rasterHash(overview, wall, nullptr, nullptr);
+    exactLoopMs.push_back(w.elapsedMillis());
+    return query.estimates();
+  };
+  for (int r = 0; r < kReps; ++r) {
+    // The first round runs full_exact first: it sets `exact`.
+    std::vector<core::ClusterEstimate> converged;
+    if (r % 2 == 0) {
+      fullExactRep();
+      converged = timeToExactRep(r);
+    } else {
+      converged = timeToExactRep(r);
+      fullExactRep();
+    }
+    if (converged != exact) {
+      std::fprintf(stderr,
+                   "FAIL: converged estimates differ from exactReference "
+                   "(rep %d)\n",
+                   r);
+      ok = false;
+    }
   }
   report.add("full_exact", fullMs);
+  const double exactOverFull =
+      bench::median(fullMs) > 0.0
+          ? bench::median(exactLoopMs) / bench::median(fullMs)
+          : 0.0;
+  {
+    auto& s = report.add("time_to_exact", exactLoopMs);
+    s.counters["exact_over_full"] = exactOverFull;
+    s.counters["refine_chunk"] = static_cast<double>(chunk);
+    s.counters["curve_points"] = static_cast<double>(curve.size());
+  }
+  std::printf("convergence curve (ms, coverage):");
+  for (const auto& [ms, cov] : curve) std::printf(" (%.2f, %.2f)", ms, cov);
+  std::printf("\n");
 
   // --- first pixel: pre-pass + overview + raster -----------------------------
   std::vector<double> firstPixelMs;
   std::size_t pendingAfterPrepass = 0;
   std::size_t prunedShards = 0;
-  for (int r = 0; r < reps; ++r) {
+  for (int r = 0; r < kReps; ++r) {
     store->clearCache();
     core::ProgressiveClusterQuery query(explorer);
     Stopwatch w;
@@ -344,46 +450,6 @@ int run(const Options& opt) {
     s.counters["first_pixel_budget_ratio"] =
         bench::median(firstPixelMs) / kFirstPixelBudgetMs;
   }
-
-  // --- time to exact: refine loop to convergence -----------------------------
-  std::vector<double> exactLoopMs;
-  std::vector<std::pair<double, double>> curve;  // (ms, coverage)
-  const std::size_t chunk = opt.smoke ? 2 : 4;
-  for (int r = 0; r < reps; ++r) {
-    store->clearCache();
-    core::ProgressiveClusterQuery query(explorer);
-    Stopwatch w;
-    query.begin(brush, params);
-    if (r == 0) curve.emplace_back(w.elapsedMillis(), query.coverage());
-    while (!query.converged()) {
-      query.refineStep(chunk);
-      if (r == 0) curve.emplace_back(w.elapsedMillis(), query.coverage());
-    }
-    const auto overview =
-        core::buildProgressiveOverview(query, wall, sceneOptions);
-    (void)rasterHash(overview, wall, nullptr, nullptr);
-    exactLoopMs.push_back(w.elapsedMillis());
-    if (query.estimates() != exact) {
-      std::fprintf(stderr,
-                   "FAIL: converged estimates differ from exactReference "
-                   "(rep %d)\n",
-                   r);
-      ok = false;
-    }
-  }
-  const double exactOverFull =
-      bench::median(fullMs) > 0.0
-          ? bench::median(exactLoopMs) / bench::median(fullMs)
-          : 0.0;
-  {
-    auto& s = report.add("time_to_exact", exactLoopMs);
-    s.counters["exact_over_full"] = exactOverFull;
-    s.counters["refine_chunk"] = static_cast<double>(chunk);
-    s.counters["curve_points"] = static_cast<double>(curve.size());
-  }
-  std::printf("convergence curve (ms, coverage):");
-  for (const auto& [ms, cov] : curve) std::printf(" (%.2f, %.2f)", ms, cov);
-  std::printf("\n");
 
   // --- exactness across refinement schedules ---------------------------------
   for (const std::size_t schedule : {std::size_t{1}, std::size_t{3},
@@ -429,7 +495,7 @@ int run(const Options& opt) {
   // --- drill sequence: kept verdicts across edits ----------------------------
   if (!drillSequenceScenario(storePath, sp, fp, ds.arena().radiusCm,
                              std::max(1.0f, ds.maxDuration()),
-                             opt.smoke ? 6 : 12, report)) {
+                             opt.smoke ? 6 : 12, wall, report)) {
     ok = false;
   }
 

@@ -1,10 +1,7 @@
 #include "render/pipeline.h"
 
-#include <cstdlib>
-#include <map>
+#include <algorithm>
 #include <memory>
-#include <mutex>
-#include <string>
 
 #include "render/sharedcache.h"
 #include "util/metrics.h"
@@ -37,28 +34,18 @@ struct PipelineMetrics {
   }
 };
 
-std::size_t envSize(const char* name, std::size_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+/// The smallest rect holding both; an empty rect holds nothing.
+RectI hull(const RectI& a, const RectI& b) {
+  if (a.empty()) return b;
+  if (b.empty()) return a;
+  const int x0 = std::min(a.x, b.x);
+  const int y0 = std::min(a.y, b.y);
+  const int x1 = std::max(a.x + a.w, b.x + b.w);
+  const int y1 = std::max(a.y + a.h, b.y + b.h);
+  return {x0, y0, x1 - x0, y1 - y0};
 }
 
 }  // namespace
-
-PipelineOptions PipelineOptions::fromEnv() {
-  PipelineOptions o;
-  const std::size_t threads = envSize("SVQ_RENDER_THREADS", 0);
-  if (threads > 1) {
-    // One pool per distinct thread count, reused across pipelines.
-    static std::mutex mutex;
-    static std::map<std::size_t, std::unique_ptr<ThreadPool>> pools;
-    std::lock_guard<std::mutex> lock(mutex);
-    auto& pool = pools[threads];
-    if (!pool) pool = std::make_unique<ThreadPool>(static_cast<unsigned>(threads));
-    o.pool = pool.get();
-  }
-  return o;
-}
 
 CellRenderPipeline::CellRenderPipeline(PipelineOptions options)
     : options_(options) {
@@ -148,11 +135,16 @@ PipelineStats CellRenderPipeline::render(const SceneModel& scene,
   }
 
   // Classify every cell: culled / skip / blit from the shared cache /
-  // rasterize. Only visible cells are keyed: a culled slot's key is never
-  // read, because a clip change resets it.
+  // repaint its overlay / rasterize. Only visible cells are keyed: a
+  // culled slot's key is never read, because a clip change resets it.
   struct Work {
     std::size_t cell;
-    std::uint64_t key;
+    CellKeys keys;
+    CellOverlay overlay;
+    /// Overlay-only: the rects to repaint, within the slot's clip.
+    /// Otherwise the whole cell is drawn.
+    bool overlayOnly = false;
+    RectI damage[2];
   };
   std::vector<Work> toRasterize;
   for (std::size_t i = 0; i < scene.cells.size(); ++i) {
@@ -161,28 +153,43 @@ PipelineStats CellRenderPipeline::render(const SceneModel& scene,
       ++stats.cellsCulled;
       continue;
     }
-    const std::uint64_t key = cellContentHash(scene.cells[i], sceneHash);
-    const bool unchanged = slot.hasKey && slot.key == key;
+    const CellView& cell = scene.cells[i];
+    const CellKeys keys = cellKeys(cell, sceneHash);
+    const bool unchanged = slot.hasKey && slot.keys.full == keys.full;
     if (unchanged && !recomposite) {
       ++stats.cellsSkipped;
       continue;
     }
+    const CellOverlay overlay = cellOverlay(cell);
     // Changed, or redrawn by a recomposite. A pipeline sharing the cache
     // (this one included) may already have rasterized this exact cell —
     // the key covers everything renderCell reads, so a dimension-matched
     // hit is pixel-identical by construction.
     if (options_.sharedCache != nullptr) {
       if (auto shared = options_.sharedCache->find(
-              key, slot.clip.w, slot.clip.h, sharedClientId_)) {
+              keys.full, slot.clip.w, slot.clip.h, sharedClientId_)) {
         canvas.blitRows(*shared, 0, 0, slot.clip);
         ++(unchanged ? stats.cellsBlitted : stats.cellsSharedBlitted);
         stats.pixelsBlitted += static_cast<std::uint64_t>(slot.clip.areaPx());
-        slot.key = key;
+        slot.keys = keys;
+        slot.overlay = overlay;
         slot.hasKey = true;
         continue;
       }
     }
-    toRasterize.push_back({i, key});
+    Work work{i, keys, overlay, false, {}};
+    if (!recomposite && slot.hasKey && slot.keys.body == keys.body) {
+      // Only the label or the coverage moved: every other pixel of the
+      // cell is already right. Repaint what the old or the new label
+      // covers, and the strip when either draws one (its track depends
+      // only on the rect, which the body key covers).
+      work.overlayOnly = true;
+      work.damage[0] =
+          hull(slot.overlay.label, overlay.label).clipped(slot.clip);
+      work.damage[1] =
+          hull(slot.overlay.strip, overlay.strip).clipped(slot.clip);
+    }
+    toRasterize.push_back(work);
   }
 
   // Rasterize dirty cells. Cells own disjoint clips (checked at layout
@@ -199,8 +206,18 @@ PipelineStats CellRenderPipeline::render(const SceneModel& scene,
     const CellView& cell = scene.cells[work.cell];
     CellSlot& slot = slots_[work.cell];
     RenderStats cellStats;
-    renderCell(scene, cell, dataset, canvas.subCanvas(cell.rect), eye,
-               cellStats);
+    if (work.overlayOnly) {
+      // The same renderCell, clipped to each damage rect: by clip
+      // invariance its pixels there equal a whole-cell render's.
+      for (const RectI& damage : work.damage) {
+        if (damage.empty()) continue;
+        renderCell(scene, cell, dataset, canvas.subCanvas(damage), eye,
+                   cellStats);
+      }
+    } else {
+      renderCell(scene, cell, dataset, canvas.subCanvas(cell.rect), eye,
+                 cellStats);
+    }
     segments[w] = cellStats.segmentsDrawn;
     if (options_.sharedCache != nullptr) {
       // Publish a snapshot of the cell's pixels; the cache owns it. Only
@@ -211,9 +228,11 @@ PipelineStats CellRenderPipeline::render(const SceneModel& scene,
                            slot.clip.y - canvas.region.y, slot.clip.w,
                            slot.clip.h},
                      0, 0);
-      options_.sharedCache->insert(work.key, std::move(snap), sharedClientId_);
+      options_.sharedCache->insert(work.keys.full, std::move(snap),
+                                   sharedClientId_);
     }
-    slot.key = work.key;
+    slot.keys = work.keys;
+    slot.overlay = work.overlay;
     slot.hasKey = true;
     rasterized[w] = 1;
   };
@@ -229,9 +248,13 @@ PipelineStats CellRenderPipeline::render(const SceneModel& scene,
       stats.aborted = true;
       continue;
     }
+    const Work& work = toRasterize[w];
     ++stats.cellsRasterized;
     stats.pixelsRasterized += static_cast<std::uint64_t>(
-        slots_[toRasterize[w].cell].clip.areaPx());
+        work.overlayOnly
+            ? work.damage[0].areaPx() + work.damage[1].areaPx() -
+                  work.damage[0].clipped(work.damage[1]).areaPx()
+            : slots_[work.cell].clip.areaPx());
   }
 
   metrics.cellsRasterized.add(stats.cellsRasterized);

@@ -7,17 +7,25 @@
 // library:
 //
 //   * per-cell keys — each cell rasterizes into the target through a
-//     sub-canvas clipped to its own rect, keyed by a content hash
-//     (cellContentHash) over everything renderCell reads. A cell whose
-//     key is unchanged since the last frame is skipped outright: its
-//     pixels are already in the (persistent) target. The pipeline keeps
-//     keys, not pixels;
+//     sub-canvas clipped to its own rect, keyed by content hashes over
+//     everything renderCell reads (cellKeys): a body key over the scene
+//     state, trajectory, rect, background and highlights, and a full key
+//     that folds in the overlay, the label and the coverage strip. A cell
+//     whose full key is unchanged since the last frame is skipped
+//     outright: its pixels are already in the (persistent) target. A cell
+//     whose body key is unchanged repaints only its overlay damage, the
+//     union of its old and new label rects and the coverage strip
+//     (cellOverlay), through the same renderCell clipped to each rect.
+//     That rests on clip invariance — a primitive's pixels inside a clip
+//     do not depend on the clip — which every tile of the sort-first wall
+//     already relies on. The pipeline keeps keys and overlay rects, not
+//     pixels;
 //   * one pixel cache — with PipelineOptions::sharedCache set, a cell
 //     that must be drawn (changed, or any cell of a recomposite after
 //     target damage) is first looked up in the SharedCellCache
-//     (render/sharedcache.h) and blitted on a hit; every rasterized cell
-//     is published there. Without one, such cells are rasterized and
-//     never copied;
+//     (render/sharedcache.h) by its full key and blitted on a hit; every
+//     rasterized cell, overlay repaints included, is published there.
+//     Without one, such cells are rasterized and never copied;
 //   * cell-parallel rasterization — dirty cells rasterize concurrently
 //     over a ThreadPool. Cells own pairwise-disjoint rects, so concurrent
 //     cells never touch the same pixel and the output is bit-identical
@@ -34,7 +42,8 @@
 // tests/support/reference_render.h; it is not part of the library.
 //
 // Metrics (util/metrics, prefix "render."): cells rasterized / blitted /
-// skipped, pixels rasterized / blitted — dumped by bench_render.
+// skipped, pixels rasterized (repainted, for an overlay-only cell) /
+// blitted — dumped by bench_render.
 #pragma once
 
 #include <cstdint>
@@ -61,22 +70,20 @@ struct PipelineOptions {
   /// wall (the SharedContext discipline); output is bit-identical with or
   /// without the cache.
   SharedCellCache* sharedCache = nullptr;
-
-  /// Reads SVQ_RENDER_THREADS (0/unset = serial, N>1 = pool of N) from
-  /// the environment.
-  static PipelineOptions fromEnv();
 };
 
 /// What one render() call did (also mirrored into the global metrics
 /// registry under "render.").
 struct PipelineStats {
-  std::size_t cellsRasterized = 0;  ///< drawn by renderCell
+  /// Drawn by renderCell: whole, or only the overlay damage when just
+  /// the label or the coverage changed.
+  std::size_t cellsRasterized = 0;
   /// Unchanged, restored from the shared cache by a recomposite.
   std::size_t cellsBlitted = 0;
   std::size_t cellsSharedBlitted = 0;  ///< changed, served from shared cache
   std::size_t cellsSkipped = 0;     ///< unchanged, pixels already in target
   std::size_t cellsCulled = 0;      ///< outside the canvas region
-  std::uint64_t pixelsRasterized = 0;
+  std::uint64_t pixelsRasterized = 0;  ///< pixels renderCell repainted
   std::uint64_t pixelsBlitted = 0;
   std::size_t segmentsDrawn = 0;
   bool fullRecomposite = false;  ///< background + every visible cell redone
@@ -99,7 +106,8 @@ struct PipelineStats {
 /// The pipeline assumes it renders the *same logical surface* repeatedly:
 /// the first render (or any change of target, region, eye, layout or wall
 /// background) does a full recomposite; subsequent renders touch only the
-/// cells whose content hash changed. Call invalidate() when the target's
+/// cells whose content hash changed, and of a cell whose body is
+/// unchanged only its overlay rects. Call invalidate() when the target's
 /// pixels were damaged externally (e.g. buffer reuse) — the next render
 /// recomposites instead of trusting the target: each visible cell is
 /// blitted from the shared cache when it holds the cell, else rasterized.
@@ -128,9 +136,11 @@ class CellRenderPipeline {
 
  private:
   struct CellSlot {
-    std::uint64_t key = 0;
+    CellKeys keys;
     bool hasKey = false;
     RectI clip;  ///< cell.rect ∩ canvas.region at last render
+    /// The overlay rects of the cell whose pixels the target holds.
+    CellOverlay overlay;
   };
 
   void resetLayout(const SceneModel& scene, Canvas canvas);

@@ -8,6 +8,21 @@
 
 namespace svq::render {
 
+CellOverlay cellOverlay(const CellView& cell) {
+  CellOverlay overlay;
+  overlay.label = RectI{cell.rect.x + 3, cell.rect.y + 3,
+                        textTinyWidth(cell.label), textTinyHeight()}
+                      .clipped(cell.rect);
+  // Anytime-refinement coverage strip: a 2px progress bar along the
+  // bottom edge. Absent at coverage 1.0, so exact/converged frames render
+  // byte-identically to pre-anytime frames.
+  if (cell.coverage < 1.0f && cell.rect.w > 2 && cell.rect.h > 4) {
+    overlay.strip = {cell.rect.x + 1, cell.rect.y + cell.rect.h - 3,
+                     cell.rect.w - 2, 2};
+  }
+  return overlay;
+}
+
 void renderCell(const SceneModel& scene, const CellView& cell,
                 const traj::TrajectoryDataset& dataset, Canvas canvas,
                 Eye eye, RenderStats& stats) {
@@ -55,21 +70,17 @@ void renderCell(const SceneModel& scene, const CellView& cell,
     }
   }
 
-  if (!cell.label.empty()) {
-    drawTextTiny(canvas, cell.rect.x + 3, cell.rect.y + 3, cell.label,
-                 cell.background.scaled(3.0f));
+  // The overlay, drawn only inside its rects (cellOverlay).
+  const CellOverlay overlay = cellOverlay(cell);
+  if (!overlay.label.empty()) {
+    drawTextTiny(canvas.subCanvas(overlay.label), overlay.label.x,
+                 overlay.label.y, cell.label, cell.background.scaled(3.0f));
   }
-
-  // Anytime-refinement coverage strip: a 2px progress bar along the
-  // bottom edge, filled to the refined fraction. Absent at coverage 1.0,
-  // so exact/converged frames render byte-identically to pre-anytime
-  // frames.
-  if (cell.coverage < 1.0f && cell.rect.w > 2 && cell.rect.h > 4) {
+  if (!overlay.strip.empty()) {
+    // Filled to the refined fraction.
+    const RectI& track = overlay.strip;
     const float clamped = std::max(cell.coverage, 0.0f);
-    const int innerW = cell.rect.w - 2;
-    const int fillW = static_cast<int>(clamped * static_cast<float>(innerW));
-    const RectI track{cell.rect.x + 1, cell.rect.y + cell.rect.h - 3, innerW,
-                      2};
+    const int fillW = static_cast<int>(clamped * static_cast<float>(track.w));
     fillRect(canvas, track, cell.background.scaled(0.6f));
     if (fillW > 0) {
       fillRect(canvas, {track.x, track.y, fillW, track.h},
@@ -142,7 +153,8 @@ std::uint64_t sceneStateHash(const SceneModel& scene) {
   return h;
 }
 
-std::uint64_t cellContentHash(const CellView& cell, std::uint64_t sceneHash) {
+CellKeys cellKeys(const CellView& cell, std::uint64_t sceneHash) {
+  CellKeys keys;
   std::uint64_t h = sceneHash;
   h = mixValue(h, cell.trajectoryIndex);
   h = mixValue(h, cell.rect.x);
@@ -152,16 +164,22 @@ std::uint64_t cellContentHash(const CellView& cell, std::uint64_t sceneHash) {
   h = mixValue(h, cell.background);
   h = mixBytes(h, cell.segmentHighlights.data(),
                cell.segmentHighlights.size());
-  h = mixBytes(h, cell.label.data(), cell.label.size());
   // Length separators so {highlights="A", label=""} != {"", "A"}.
   h = mixValue(h, static_cast<std::uint64_t>(cell.segmentHighlights.size()));
+  keys.body = h;
+  h = mixBytes(h, cell.label.data(), cell.label.size());
   h = mixValue(h, static_cast<std::uint64_t>(cell.label.size()));
   // Coverage folds only when it draws (< 1.0): an exact or converged cell
   // keys exactly like one that never set it.
   if (cell.coverage < 1.0f) {
     h = mixValue(h, cell.coverage);
   }
-  return h;
+  keys.full = h;
+  return keys;
+}
+
+std::uint64_t cellContentHash(const CellView& cell, std::uint64_t sceneHash) {
+  return cellKeys(cell, sceneHash).full;
 }
 
 std::vector<std::uint64_t> sceneCellHashes(const SceneModel& scene) {

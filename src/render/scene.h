@@ -61,6 +61,18 @@ struct RenderStats {
   std::size_t segmentsDrawn = 0;
 };
 
+/// Where a cell's overlay draws, inside cell.rect: the label's text box
+/// (textTinyWidth x textTinyHeight at (x+3, y+3), clipped to the cell) and
+/// the coverage strip's 2-px track along the bottom edge. A part that
+/// draws nothing has an empty rect. renderCell draws the overlay with
+/// these rects, and the pipeline repaints them when only the overlay
+/// changed, so every overlay pixel lies inside one of them.
+struct CellOverlay {
+  RectI label;
+  RectI strip;
+};
+CellOverlay cellOverlay(const CellView& cell);
+
 /// Renders one cell (no background clear). The dataset provides
 /// trajectory geometry; the cell references it by index.
 void renderCell(const SceneModel& scene, const CellView& cell,
@@ -81,8 +93,19 @@ void renderCell(const SceneModel& scene, const CellView& cell,
 /// the pixels, and would dirty every cell every frame.
 std::uint64_t sceneStateHash(const SceneModel& scene);
 
-/// Content hash of one cell folded over `sceneHash`: trajectory index,
-/// rect, background, per-segment highlights and label.
+/// One cell's keys, from one pass over its inputs. `body` folds
+/// `sceneHash` with everything renderCell reads outside the overlay:
+/// trajectory index, rect, background and per-segment highlights. `full`
+/// folds `body` with the overlay: the label, and the coverage where it
+/// draws (< 1.0). Equal bodies with different fulls differ in pixels only
+/// inside the two cells' cellOverlay rects.
+struct CellKeys {
+  std::uint64_t body = 0;
+  std::uint64_t full = 0;
+};
+CellKeys cellKeys(const CellView& cell, std::uint64_t sceneHash);
+
+/// The full key: cellKeys(cell, sceneHash).full.
 std::uint64_t cellContentHash(const CellView& cell, std::uint64_t sceneHash);
 
 /// cellContentHash for every cell of the scene (shared sceneStateHash).

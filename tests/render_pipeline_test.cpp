@@ -1,17 +1,24 @@
 // Tests for render/pipeline.h — the dirty-cell incremental renderer: cell
-// keying, skip/blit/rasterize classification, restores through the shared
-// pixel cache, overlap refusal, and the determinism contracts (parallel ==
-// serial, cached == cold) that the cluster renderer and benches rely on.
+// keying, skip/blit/rasterize classification, overlay-only repaints,
+// restores through the shared pixel cache, overlap refusal, and the
+// determinism contracts (parallel == serial, cached == cold) that the
+// cluster renderer and benches rely on.
 #include "render/pipeline.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "reference_render.h"
 #include "render/sharedcache.h"
 #include "traj/synth.h"
 #include "util/cancel.h"
+#include "util/rng.h"
 #include "util/threadpool.h"
 
 namespace svq::render {
@@ -449,6 +456,293 @@ TEST(PipelineTest, EyeChangeRecomposites) {
   EXPECT_TRUE(stats.fullRecomposite);
   EXPECT_EQ(fb.contentHash(),
             coldRender(scene, ds, 240, 80, Eye::kRight).contentHash());
+}
+
+// --- overlay-only repaints ----------------------------------------------------
+// A cell whose body key is unchanged repaints only the union of its old
+// and new label rects and its coverage strip. One long-lived pipeline
+// per target runs seeded edit sequences; after every frame the target
+// must equal a cold render, and the stats must count exactly the
+// repainted pixels.
+
+/// A clock that advances one microsecond per read: a Deadline::after(n)
+/// on it expires after n polls, so a render stops part-way.
+class CountingClock final : public util::Clock {
+ public:
+  std::int64_t nowUs() const override { return ++now_; }
+
+ private:
+  mutable std::atomic<std::int64_t> now_{0};
+};
+
+/// The smallest rect holding both; an empty rect holds nothing.
+RectI hull(const RectI& a, const RectI& b) {
+  if (a.empty()) return b;
+  if (b.empty()) return a;
+  const int x0 = std::min(a.x, b.x);
+  const int y0 = std::min(a.y, b.y);
+  return {x0, y0, std::max(a.x + a.w, b.x + b.w) - x0,
+          std::max(a.y + a.h, b.y + b.h) - y0};
+}
+
+/// What one render of `scene` must rasterize over `region`, given the
+/// scene whose pixels the target holds (none: a recomposite).
+struct ExpectedRaster {
+  std::size_t cells = 0;         ///< drawn: changed, or every visible cell
+  std::size_t overlayCells = 0;  ///< of them, body unchanged
+  std::uint64_t pixels = 0;      ///< whole clips plus overlay damage
+  std::uint64_t overlayPixels = 0;      ///< of them, overlay damage
+  std::uint64_t overlayClipPixels = 0;  ///< the overlay cells' whole clips
+};
+
+ExpectedRaster expectedRaster(const std::optional<SceneModel>& held,
+                              const SceneModel& scene, const RectI& region) {
+  ExpectedRaster e;
+  bool recomposite = !held || held->cells.size() != scene.cells.size();
+  for (std::size_t i = 0; !recomposite && i < scene.cells.size(); ++i) {
+    recomposite = held->cells[i].rect.clipped(region) !=
+                  scene.cells[i].rect.clipped(region);
+  }
+  const std::uint64_t heldHash = held ? sceneStateHash(*held) : 0;
+  const std::uint64_t sceneHash = sceneStateHash(scene);
+  for (std::size_t i = 0; i < scene.cells.size(); ++i) {
+    const CellView& cell = scene.cells[i];
+    const RectI clip = cell.rect.clipped(region);
+    if (clip.empty()) continue;
+    if (recomposite) {
+      ++e.cells;
+      e.pixels += static_cast<std::uint64_t>(clip.areaPx());
+      continue;
+    }
+    const CellKeys was = cellKeys(held->cells[i], heldHash);
+    const CellKeys now = cellKeys(cell, sceneHash);
+    if (was.full == now.full) continue;
+    ++e.cells;
+    if (was.body != now.body) {
+      e.pixels += static_cast<std::uint64_t>(clip.areaPx());
+      continue;
+    }
+    ++e.overlayCells;
+    e.overlayClipPixels += static_cast<std::uint64_t>(clip.areaPx());
+    const CellOverlay a = cellOverlay(held->cells[i]);
+    const CellOverlay b = cellOverlay(cell);
+    const RectI label = hull(a.label, b.label).clipped(clip);
+    const RectI strip = hull(a.strip, b.strip).clipped(clip);
+    const auto damage = static_cast<std::uint64_t>(
+        label.areaPx() + strip.areaPx() - label.clipped(strip).areaPx());
+    e.pixels += damage;
+    e.overlayPixels += damage;
+  }
+  return e;
+}
+
+/// A progressive-overview style label: "N=<members> hit~<hits>".
+std::string overviewLabel(Rng& rng) {
+  std::string label = "N=" + std::to_string(rng.rangeInt(1, 400)) + " hit";
+  label += rng.chance(0.5) ? "~" : "=";
+  return label + std::to_string(rng.rangeInt(0, 120));
+}
+
+/// One frame of an overlay sequence.
+struct OverlayFrame {
+  SceneModel scene;
+  bool cancel = false;  ///< render with a deadline that stops it part-way
+};
+
+/// One seeded frame of edits. Most frames change only labels and
+/// coverage; some carry body edits, a scene-wide change or a layout
+/// change. Returns true when the frame's render is to be cancelled.
+bool editFrame(SceneModel& scene, Rng& rng) {
+  static constexpr float kCoverage[] = {0.0f, 0.1f, 0.37f, 0.5f, 0.93f};
+  const auto pick = [&] { return rng.below(scene.cells.size()); };
+  const std::uint64_t kind = rng.below(20);
+  const std::uint64_t overlayEdits = 1 + rng.below(6);
+  for (std::uint64_t e = 0; e < overlayEdits; ++e) {
+    CellView& cell = scene.cells[pick()];
+    switch (rng.below(6)) {
+      case 0:  // the label grows
+        cell.label += rng.chance(0.5) ? " *" : std::to_string(rng.below(1000));
+        break;
+      case 1:  // the label shrinks
+        cell.label.resize(cell.label.size() / 2);
+        break;
+      case 2:  // the label empties, or takes a new value
+        cell.label = rng.chance(0.3) ? std::string() : overviewLabel(rng);
+        break;
+      case 3:  // coverage rises, staying below 1
+        cell.coverage = std::min(0.99f, cell.coverage + rng.uniform(0.01f, 0.5f));
+        break;
+      case 4:  // coverage reaches 1, or falls from it
+        cell.coverage = cell.coverage < 1.0f
+                            ? 1.0f
+                            : kCoverage[rng.below(std::size(kCoverage))];
+        break;
+      default:  // label and coverage together, as a refine step moves them
+        cell.label = overviewLabel(rng);
+        cell.coverage = kCoverage[rng.below(std::size(kCoverage))];
+        break;
+    }
+  }
+  if (kind < 3) {  // a body edit: a dab or a tint
+    dabCell(scene, pick(), static_cast<std::int8_t>(rng.below(3)));
+    scene.cells[pick()].background = groupBackground(rng.below(6));
+  } else if (kind == 3) {  // scene-wide
+    scene.timeWindow = {rng.uniform(0.0f, 20.0f), rng.uniform(40.0f, 200.0f)};
+  } else if (kind == 4) {  // layout
+    std::swap(scene.cells[pick()].rect, scene.cells[pick()].rect);
+  }
+  return kind == 5;
+}
+
+/// The frames every sequence starts with, before its seeded edits. In
+/// the shared-cache setup frame 3 blits cell 0 and cell 1 from the
+/// cache, so frame 4's repaint must take its old overlay rects from that
+/// blit, not from the repaint before it.
+std::vector<OverlayFrame> overlaySequence(const SceneModel& first,
+                                          std::uint64_t seed) {
+  std::vector<OverlayFrame> frames(4, OverlayFrame{first});
+  frames[0].scene.cells[0].label = "N=1 hit~22";
+  frames[0].scene.cells[1].coverage = 0.5f;
+  frames[1] = frames[0];
+  frames[1].scene.cells[0].label = "N=1";
+  frames[1].scene.cells[1].coverage = 1.0f;
+  frames[1].scene.cells[1].label = "C1A";
+  frames[2] = frames[0];
+  frames[3] = frames[2];
+  frames[3].scene.cells[0].label = "N=2";
+  frames[3].scene.cells[1].coverage = 1.0f;
+  frames[3].scene.cells[1].label = "C1B";
+
+  Rng rng(seed * 0x51EDULL);
+  SceneModel scene = frames.back().scene;
+  for (int f = 0; f < 40; ++f) {
+    const bool cancel = editFrame(scene, rng);
+    if (cancel) {
+      // Every cell's coverage moves, so the render has many overlay
+      // repaints to abandon; the next frame redraws the same scene.
+      for (CellView& cell : scene.cells) cell.coverage *= 0.5f;
+      frames.push_back({scene, true});
+    }
+    frames.push_back({scene, false});
+  }
+  return frames;
+}
+
+struct OverlaySetup {
+  const char* name;
+  unsigned threads;
+  bool sharedCache;
+  bool tiles;  ///< 2x2 tiles, one pipeline each, instead of one target
+};
+
+TEST(PipelineOverlayTest, EditSequencesMatchColdAndCountOnlyTheDamage) {
+  const auto ds = makeDataset();
+  constexpr int kW = 320;
+  constexpr int kH = 144;
+  SceneModel start = makeScene(ds, 5, 3, 64, 48);
+  {
+    Rng rng(0x0E7A1ULL);
+    for (CellView& cell : start.cells) {
+      cell.label = overviewLabel(rng);
+      cell.coverage = rng.uniform(0.0f, 0.9f);
+    }
+  }
+  for (const OverlaySetup setup :
+       {OverlaySetup{"serial", 0, false, false},
+        OverlaySetup{"pool of 4", 4, false, false},
+        OverlaySetup{"shared cache", 4, true, false},
+        OverlaySetup{"2x2 tiles", 0, false, true}}) {
+    std::unique_ptr<ThreadPool> pool;
+    if (setup.threads > 0) pool = std::make_unique<ThreadPool>(setup.threads);
+    SharedCellCache cache;
+    PipelineOptions options;
+    options.pool = pool.get();
+    options.sharedCache = setup.sharedCache ? &cache : nullptr;
+    struct Target {
+      RectI region;
+      Framebuffer fb;
+      std::unique_ptr<CellRenderPipeline> pipeline;
+      std::optional<SceneModel> held;  ///< none after a cancelled render
+    };
+    std::vector<Target> targets;
+    const int tiles = setup.tiles ? 2 : 1;
+    for (int ty = 0; ty < tiles; ++ty) {
+      for (int tx = 0; tx < tiles; ++tx) {
+        const RectI region{tx * kW / tiles, ty * kH / tiles, kW / tiles,
+                           kH / tiles};
+        targets.push_back({region, Framebuffer(region.w, region.h),
+                           std::make_unique<CellRenderPipeline>(options),
+                           std::nullopt});
+      }
+    }
+    std::size_t overlayCells = 0;
+    std::uint64_t overlayPixels = 0;
+    std::uint64_t overlayClipPixels = 0;
+    std::size_t cancelled = 0;
+    std::size_t frame = 0;
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      for (const auto& [frameScene, cancel] : overlaySequence(start, seed)) {
+        ++frame;
+        const Framebuffer cold = coldRender(frameScene, ds, kW, kH, Eye::kLeft);
+        for (Target& t : targets) {
+          const ExpectedRaster want = expectedRaster(t.held, frameScene, t.region);
+          const std::uint64_t insertsBefore = cache.stats().inserts;
+          CountingClock clock;
+          const util::Cancellation stop(util::Deadline::after(3, &clock));
+          const PipelineStats stats = t.pipeline->render(
+              frameScene, ds, Canvas{&t.fb, t.region, {}}, Eye::kLeft,
+              cancel ? &stop : nullptr);
+          const std::string where = std::string(setup.name) + ", frame " +
+                                    std::to_string(frame) + ", region " +
+                                    std::to_string(t.region.x) + "," +
+                                    std::to_string(t.region.y);
+          if (cancel) {
+            if (want.cells > 3) {
+              EXPECT_TRUE(stats.aborted) << where;
+              ++cancelled;
+            }
+            t.held = stats.aborted ? std::nullopt
+                                   : std::optional<SceneModel>(frameScene);
+            continue;
+          }
+          ASSERT_FALSE(stats.aborted) << where;
+          t.held = frameScene;
+          for (int y = 0; y < t.region.h; ++y) {
+            for (int x = 0; x < t.region.w; ++x) {
+              ASSERT_EQ(t.fb.at(x, y), cold.at(t.region.x + x, t.region.y + y))
+                  << where << ", pixel (" << t.region.x + x << ","
+                  << t.region.y + y << ")";
+            }
+          }
+          overlayCells += want.overlayCells;
+          overlayPixels += want.overlayPixels;
+          overlayClipPixels += want.overlayClipPixels;
+          if (!setup.sharedCache) {
+            EXPECT_EQ(stats.cellsRasterized, want.cells) << where;
+            EXPECT_EQ(stats.pixelsRasterized, want.pixels) << where;
+            continue;
+          }
+          // A cache hit blits where the others rasterize; whatever is
+          // rasterized is published.
+          EXPECT_EQ(stats.cellsRasterized + stats.cellsBlitted +
+                        stats.cellsSharedBlitted,
+                    want.cells)
+              << where;
+          EXPECT_LE(stats.pixelsRasterized, want.pixels) << where;
+          EXPECT_EQ(cache.stats().inserts - insertsBefore, stats.cellsRasterized)
+              << where;
+          if (frame == 3) {
+            EXPECT_EQ(stats.cellsSharedBlitted, 2u) << where;
+          }
+        }
+      }
+    }
+    // The sequences reached what they test, and an overlay repaint
+    // touches a small part of its cell.
+    EXPECT_GT(overlayCells, 200u) << setup.name;
+    EXPECT_LT(overlayPixels * 3, overlayClipPixels) << setup.name;
+    EXPECT_GT(cancelled, 0u) << setup.name;
+  }
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
 // Tests for render/scene.h — cell rendering and content keys — through
 // the full-redraw reference renderer (tests/support): culling, and the
 // sort-first partition property (tile renders == full render restricted
-// to tile).
+// to tile); the clip invariance of renderCell that the pipeline's overlay
+// repaints rest on; and the body/full key split.
 #include "render/scene.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -199,8 +201,6 @@ TEST(SceneTest, ParallaxAwareCullingKeepsShiftedContent) {
   EXPECT_EQ(stats.cellsDrawn, 1u);
 }
 
-// --- content keys ------------------------------------------------------------
-
 /// A highlight row of `n` values in {-1, 0, 1, 2}, as the query engine
 /// writes them (no highlight, brushes 0..2).
 std::vector<std::int8_t> highlightRow(std::size_t n, Rng& rng) {
@@ -210,6 +210,143 @@ std::vector<std::int8_t> highlightRow(std::size_t n, Rng& rng) {
   }
   return row;
 }
+
+// --- clip invariance ---------------------------------------------------------
+// The pipeline repaints a cell whose body is unchanged through renderCell
+// clipped to its overlay rects (render/pipeline.h). That is sound only if
+// a clip decides which pixels are written, never their values.
+
+/// A label of `n` characters: glyphs of the font, lower case, spaces and
+/// characters the font lacks (drawn as solid blocks).
+std::string randomLabel(std::size_t n, Rng& rng) {
+  static constexpr char kChars[] = "0123456789ABHNXZ hit~=*%:.-#abq";
+  std::string label(n, ' ');
+  for (char& c : label) c = kChars[rng.below(sizeof(kChars) - 1)];
+  return label;
+}
+
+/// A non-empty rect inside the non-empty rect `r`.
+RectI subRectOf(const RectI& r, Rng& rng) {
+  const int x = rng.rangeInt(r.x, r.x + r.w - 1);
+  const int y = rng.rangeInt(r.y, r.y + r.h - 1);
+  return {x, y, rng.rangeInt(1, r.x + r.w - x), rng.rangeInt(1, r.y + r.h - y)};
+}
+
+TEST(ClipInvarianceTest, ClippedCellEqualsTheWholeInsideAndTouchesNothingElse) {
+  const auto ds = makeDataset();
+  // An offset viewport, so a cell can be cut by any of its edges.
+  const RectI region{40, 30, 160, 110};
+  static constexpr float kCoverage[] = {0.0f, 0.37f, 1.0f};
+  Rng rng(0xC11B5EEDULL);
+  std::size_t clips = 0;
+  std::size_t drawnInside = 0;
+  for (int c = 0; c < 240; ++c) {
+    SceneModel scene;
+    scene.arenaRadiusCm = ds.arena().radiusCm;
+    scene.stereo.timeScaleCmPerS = rng.uniform(0.2f, 1.0f);
+    scene.stereo.parallaxPxPerCm = rng.uniform(0.5f, 3.0f);
+    if (rng.chance(0.3)) scene.timeWindow = {rng.uniform(0.0f, 30.0f), 90.0f};
+    const Eye eye = c % 2 == 0 ? Eye::kLeft : Eye::kRight;
+
+    CellView cell;
+    cell.trajectoryIndex = static_cast<std::uint32_t>(rng.below(ds.size()));
+    const int w = rng.rangeInt(4, 96);
+    const int h = rng.rangeInt(4, 72);
+    // Anywhere that overlaps the viewport: inside, or cut by its edges.
+    cell.rect = {rng.rangeInt(region.x - w + 1, region.x + region.w - 1),
+                 rng.rangeInt(region.y - h + 1, region.y + region.h - 1), w,
+                 h};
+    cell.background = groupBackground(rng.below(6));
+    if (rng.chance(0.7)) {
+      cell.segmentHighlights =
+          highlightRow(ds[cell.trajectoryIndex].size() - 1, rng);
+    }
+    cell.label = randomLabel(rng.below(41), rng);
+    cell.coverage = kCoverage[c % 3];
+
+    // A seeded pattern under the cell: "untouched" must mean untouched,
+    // and parallax spill blends over it.
+    Framebuffer base(region.w, region.h);
+    for (int y = 0; y < region.h; ++y) {
+      for (int x = 0; x < region.w; ++x) {
+        base.at(x, y) = Color{static_cast<std::uint8_t>(rng.below(256)),
+                              static_cast<std::uint8_t>(rng.below(256)),
+                              static_cast<std::uint8_t>(rng.below(256)), 255};
+      }
+    }
+    Framebuffer whole = base;
+    RenderStats stats;
+    renderCell(scene, cell, ds, Canvas{&whole, region, {}}, eye, stats);
+
+    const CellOverlay overlay = cellOverlay(cell);
+    CellView relabeled = cell;
+    relabeled.label = randomLabel(rng.below(41), rng);
+    const RectI cellRect = cell.rect;
+    std::vector<RectI> clipRects = {
+        overlay.label,
+        overlay.strip,
+        cellOverlay(relabeled).label,
+        cellRect,
+        // 1-px slivers: a column and a row of the cell.
+        {rng.rangeInt(cellRect.x, cellRect.x + w - 1), cellRect.y, 1, h},
+        {cellRect.x, rng.rangeInt(cellRect.y, cellRect.y + h - 1), w, 1},
+        // Across the cell's edge, where parallax spills.
+        {cellRect.x - rng.rangeInt(1, 12), cellRect.y + rng.rangeInt(0, h - 1),
+         rng.rangeInt(2, 24), rng.rangeInt(1, h)},
+        {cellRect.x + w - rng.rangeInt(1, 12),
+         cellRect.y - rng.rangeInt(0, 6), rng.rangeInt(2, 24),
+         rng.rangeInt(1, h + 12)},
+        subRectOf(cellRect, rng),
+        subRectOf(cellRect, rng),
+    };
+    for (const RectI& clip : clipRects) {
+      Framebuffer clipped = base;
+      renderCell(scene, cell, ds, Canvas{&clipped, region, {}}.subCanvas(clip),
+                 eye, stats);
+      const RectI inside = clip.clipped(region);
+      for (int y = 0; y < region.h; ++y) {
+        for (int x = 0; x < region.w; ++x) {
+          const bool in = inside.contains(region.x + x, region.y + y);
+          const Color want = in ? whole.at(x, y) : base.at(x, y);
+          ASSERT_EQ(clipped.at(x, y), want)
+              << "case " << c << ", clip " << clip << ", cell " << cellRect
+              << ", pixel (" << region.x + x << "," << region.y + y << ")";
+          if (in && want != base.at(x, y)) ++drawnInside;
+        }
+      }
+      ++clips;
+    }
+  }
+  EXPECT_EQ(clips, 240u * 10u);
+  EXPECT_GT(drawnInside, 0u);
+}
+
+TEST(ClipInvarianceTest, OverlayRectsHoldTheLabelAndTheStripInsideTheCell) {
+  CellView cell;
+  cell.rect = {100, 50, 64, 40};
+  cell.label = "N=12 hit~3";
+  cell.coverage = 0.37f;
+  CellOverlay overlay = cellOverlay(cell);
+  EXPECT_EQ(overlay.label,
+            (RectI{103, 53, textTinyWidth(cell.label), textTinyHeight()}));
+  EXPECT_EQ(overlay.strip, (RectI{101, 87, 62, 2}));
+
+  // A label longer than the cell is cut at its right edge.
+  cell.label = std::string(40, 'W');
+  EXPECT_EQ(cellOverlay(cell).label, (RectI{103, 53, 61, textTinyHeight()}));
+  // No label, no coverage strip at 1.0 and above or on a cell too small
+  // to hold one: empty rects.
+  cell.label.clear();
+  cell.coverage = 1.0f;
+  overlay = cellOverlay(cell);
+  EXPECT_TRUE(overlay.label.empty());
+  EXPECT_TRUE(overlay.strip.empty());
+  cell.coverage = 0.0f;
+  cell.rect.h = 4;
+  EXPECT_TRUE(cellOverlay(cell).strip.empty());
+}
+
+// --- content keys ------------------------------------------------------------
 
 CellView keyedCell() {
   CellView cell;
@@ -290,6 +427,36 @@ TEST(CellContentHashTest, CoverageCountsOnlyBelowOne) {
   EXPECT_NE(half, unset);
   EXPECT_NE(quarter, unset);
   EXPECT_NE(half, quarter);
+}
+
+TEST(CellContentHashTest, BodyKeyLeavesOutOnlyTheOverlay) {
+  const std::uint64_t sceneHash = sceneStateHash(SceneModel{});
+  const CellView base = keyedCell();
+  const CellKeys keys = cellKeys(base, sceneHash);
+  EXPECT_EQ(keys.full, cellContentHash(base, sceneHash));
+  const auto changed = [&](const auto& mutate) {
+    CellView cell = base;
+    mutate(cell);
+    const CellKeys k = cellKeys(cell, sceneHash);
+    return std::pair<bool, bool>{k.body != keys.body, k.full != keys.full};
+  };
+  using Both = std::pair<bool, bool>;
+  // The body: every change moves both keys.
+  EXPECT_EQ(changed([](CellView& c) { c.trajectoryIndex += 1; }), Both(true, true));
+  EXPECT_EQ(changed([](CellView& c) { c.rect.x += 1; }), Both(true, true));
+  EXPECT_EQ(changed([](CellView& c) { c.rect.h += 1; }), Both(true, true));
+  EXPECT_EQ(changed([](CellView& c) { c.background.g ^= 1; }), Both(true, true));
+  EXPECT_EQ(changed([](CellView& c) { c.segmentHighlights[3] = -1; }),
+            Both(true, true));
+  EXPECT_EQ(changed([](CellView& c) { c.segmentHighlights.pop_back(); }),
+            Both(true, true));
+  // The overlay: only the full key moves.
+  EXPECT_EQ(changed([](CellView& c) { c.label += "0"; }), Both(false, true));
+  EXPECT_EQ(changed([](CellView& c) { c.label.clear(); }), Both(false, true));
+  EXPECT_EQ(changed([](CellView& c) { c.coverage = 0.37f; }), Both(false, true));
+  EXPECT_EQ(changed([](CellView& c) { c.coverage = 1.5f; }), Both(false, false));
+  // The scene and the eye salt reach the body through `sceneHash`.
+  EXPECT_NE(cellKeys(base, sceneHash ^ 1).body, keys.body);
 }
 
 TEST(SceneStateHashTest, EverySceneWideFieldCountsButQueryGeneration) {
